@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .exactarith import divisors, require_prime, valuation
+from .exactarith import InvariantError, divisors, require_prime, valuation
 from .finite import EnumerationCapExceeded, FiniteSubgroup, ProductRing
 
 DEFAULT_CENSUS_CAP = 10_000  # max ring order for a brute-force census (order^2 <= 10^8)
@@ -97,7 +97,8 @@ def tuple_to_subgroup(t: GoursatTuple) -> FiniteSubgroup:
         for i in range(p**t.a1)
         for j in range(p**t.b2)
     )
-    assert len(elements) == p ** (t.a1 + t.b2)
+    if len(elements) != p ** (t.a1 + t.b2):
+        raise InvariantError(f"{t} materializes {len(elements)} elements, not |A1|*|B2|")
     return FiniteSubgroup(ring, ((gen1, (t.unit * gen2) % m), (0, step2)), elements)
 
 
@@ -140,7 +141,8 @@ def count_subgroups_closed(p: int, r: int, s: int) -> int:
     r, s = _sorted_exponents(r, s)
     num = p ** (r + 1) * ((s - r + 1) * (p - 1) + 2) - ((s + r + 3) * (p - 1) + 2)
     q, rem = divmod(num, (p - 1) ** 2)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"count_subgroups_closed({p}, {r}, {s}): inexact division")
     return q
 
 

@@ -3,8 +3,10 @@
 Every decision procedure, census, and probability computation is exposed as a
 subcommand that prints one JSON document (or a text summary with
 --format text).  Exit codes: 0 computed (whatever the verdict), 2 usage error,
-3 enumeration cap exceeded or infeasible input, 4 oracle disagreement under
---verify (never happens in a correct build).
+3 enumeration cap exceeded or infeasible input (including a result with an
+integer too long to print in decimal), 4 oracle disagreement under --verify or
+a failed exactness invariant (never happens in a correct build).  Only a
+computed document reaches stdout; every error is one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .census import (
     enumerate_subgroups_bruteforce,
     is_ideal_bruteforce,
 )
-from .exactarith import require_prime
+from .exactarith import InvariantError, require_prime
 from .finite import (
     DEFAULT_MATERIALIZE_CAP,
     EnumerationCapExceeded,
@@ -50,20 +52,29 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty generator in {text!r}")
-        try:
-            vectors.append(tuple(int(part) for part in chunk.split(",")))
-        except ValueError:
-            raise ValueError(f"unparseable generator {chunk!r}") from None
+        vectors.append(tuple(_parse_int(part, "generator", chunk) for part in chunk.split(",")))
     if len({len(v) for v in vectors}) > 1:
         raise ValueError("generators must all have the same length")
     return vectors
 
 
 def _parse_csv_ints(text: str, what: str) -> list[int]:
+    return [_parse_int(part, what, text) for part in text.split(",")]
+
+
+def _parse_int(part: str, what: str, context: str) -> int:
     try:
-        return [int(part) for part in text.split(",")]
+        return int(part)
     except ValueError:
-        raise ValueError(f"unparseable {what} {text!r}") from None
+        digits = part.strip().lstrip("+-")
+        if digits.isdecimal():
+            # a well-formed integer that int() still refused: Python's
+            # int/str digit limit, which guards against quadratic conversion
+            raise ValueError(
+                f"{what} entry has {len(digits)} digits, over Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits for int/str conversion"
+            ) from None
+        raise ValueError(f"unparseable {what} {context!r}") from None
 
 
 def _caps(args: argparse.Namespace) -> tuple[int, int]:
@@ -149,7 +160,7 @@ def _handle_ideal_zn(args: argparse.Namespace) -> tuple[dict, int]:
     if any(len(g) != ring.arity for g in gens):
         raise ValueError("generator length must match the number of moduli")
     subgroup = FiniteSubgroup(ring, tuple(gens))
-    verdict_bool = general_is_ideal(subgroup, cap=materialize_cap)
+    verdict_bool = general_is_ideal(subgroup)
     doc = {
         "command": "ideal zn",
         "ring": {"kind": "zn", "moduli": list(ring.moduli)},
@@ -173,7 +184,7 @@ def _handle_order(args: argparse.Namespace) -> tuple[dict, int]:
     if any(len(g) != ring.arity for g in gens):
         raise ValueError("generator length must match the number of moduli")
     subgroup = FiniteSubgroup(ring, tuple(gens))
-    value = subgroup.order(cap=materialize_cap)
+    value = subgroup.order()
     doc = {
         "command": "order",
         "ring": {"kind": "zn", "moduli": list(ring.moduli)},
@@ -194,7 +205,8 @@ def _handle_census(args: argparse.Namespace) -> tuple[dict, int]:
     if args.r < 0 or args.s < 0:
         raise ValueError("--r and --s must be nonnegative")
     subgroups = count_subgroups_closed(args.p, args.r, args.s)
-    assert subgroups == count_subgroups_sum(args.p, args.r, args.s)
+    if subgroups != count_subgroups_sum(args.p, args.r, args.s):
+        raise InvariantError("closed-form and summed subgroup counts differ")
     ideals = count_ideals_pp(args.r, args.s)
     moduli = [args.p**args.r, args.p**args.s]
     doc = {
@@ -413,14 +425,24 @@ def run(argv: Sequence[str] | None = None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    if args.format == "text":
-        print(_render_text(doc))
-    else:
-        print(json.dumps(doc))
+    try:
+        rendered = _render_text(doc) if args.format == "text" else json.dumps(doc)
+    except ValueError:
+        # the only ValueError rendering can raise: Python's int/str digit limit
+        print(
+            "error: the result has an integer over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for int/str conversion",
+            file=sys.stderr,
+        )
+        return 3
+    print(rendered)
     return code
 
 

@@ -1,4 +1,4 @@
-"""Exact integer primitives: factorization, additive orders, divisor splitting, Gaussian binomials.
+"""Exact integer primitives: factorization, additive orders, Gaussian binomials.
 
 All arithmetic is arbitrary precision; nothing here ever goes through floats.
 gcd conventions follow math.gcd: always nonnegative, gcd(0, 0) == 0.
@@ -7,6 +7,11 @@ gcd conventions follow math.gcd: always nonnegative, gcd(0, 0) == 0.
 from __future__ import annotations
 
 from math import gcd
+
+
+class InvariantError(RuntimeError):
+    """An exactness invariant failed.  This is a bug, never a property of the input;
+    the checks raise it explicitly so that they also run under ``python -O``."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -98,26 +103,6 @@ def additive_order(c: int, s: int) -> int:
     return s // gcd(c % s, s)
 
 
-def split_divisor(D: int, g1: int, g2: int) -> tuple[int, int]:
-    """Split |D| as d1*d2 with d1 | g1 and d2 | g2.
-
-    Canonical choice: for each prime p with valuation v in |D|, d1 takes
-    p^min(v, v_p(g1)) and d2 takes the rest.  Raises ValueError when |D| does
-    not divide g1*g2, in which case no such split exists.
-    """
-    if D == 0:
-        raise ValueError("divisor to split must be nonzero")
-    if g1 <= 0 or g2 <= 0:
-        raise ValueError("divisibility targets must be positive")
-    a = abs(D)
-    if (g1 * g2) % a != 0:
-        raise ValueError(f"{a} does not divide {g1}*{g2}; no split exists")
-    d1 = 1
-    for p, v in factorize(a):
-        d1 *= p ** min(v, valuation(g1, p) if g1 % p == 0 else 0)
-    return d1, a // d1
-
-
 def gaussian_binomial(r: int, i: int, p: int) -> int:
     """Number of i-dimensional subspaces of an r-dimensional vector space over F_p.
 
@@ -133,5 +118,6 @@ def gaussian_binomial(r: int, i: int, p: int) -> int:
         num *= p**r - p**j
         den *= p**i - p**j
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"gaussian_binomial({r}, {i}, {p}): inexact division")
     return q

@@ -1,9 +1,17 @@
 """Finite product rings Z_{n1} x ... x Z_{nk}: subgroups and exact ideal criteria.
 
 Elements are tuples of residues, one per factor, always reduced into [0, n_i).
-The normative ideal test compares the subgroup order with the order of the
-product of its coordinate projections; the single-generator and two-generator
-criteria are fast special cases that must agree with it.
+
+One lattice core decides every subgroup H = <g_1, ..., g_r>: its preimage in
+Z^k is the full-rank lattice L = span(g_j) + n1*e1 + ... + nk*ek.  H is an
+ideal exactly when L is (ideals of the quotient are the ideals containing the
+kernel), i.e. when the canonical basis of L is diagonal, and |H| is the index
+of n1*Z x ... x nk*Z in L, prod(n_i) / prod(pivots of L).  Neither needs the
+elements, so verdicts and orders are exact at any ring size.
+
+The paper's criteria (cyclic_is_ideal, twogen_is_ideal, kernel lattices,
+subgroup_order_two_gen, kernel_sum_order_mod_lcm) stay as theorems that tests
+check against this core and against the materialized closure.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from itertools import product as iter_product
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
-from .exactarith import additive_order, xgcd
+from .exactarith import InvariantError, additive_order, xgcd
 from .lattice import IntMatrix, LatticeBasis, canonical_basis, member
 
 DEFAULT_MATERIALIZE_CAP = 10**6
@@ -110,19 +118,25 @@ class FiniteSubgroup:
             )
         return FiniteSubgroup(self.ring, self.generators, closure(self.ring, self.generators))
 
-    def order(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> int:
-        """Subgroup order, via formulas where available and closure otherwise."""
+    def order(self) -> int:
+        """Subgroup order: the element count when materialized, else the index
+        of n1*Z x ... x nk*Z in the lifted lattice (exact at any ring size)."""
         if self.elements is not None:
             return len(self.elements)
-        gens = self.generators
-        if not gens:
-            return 1
-        if len(gens) == 1:
-            return self.ring.element_order(gens[0])
-        if self.ring.arity == 2 and len(gens) == 2:
-            n, m = self.ring.moduli
-            return subgroup_order_two_gen(n, m, gens[0], gens[1])
-        return len(self.materialize(cap).elements)
+        basis = _lifted_basis(self).matrix
+        return self.ring.order // prod(basis.at(j, j) for j in range(basis.cols))
+
+
+def _lifted_basis(subgroup: FiniteSubgroup) -> LatticeBasis:
+    """Canonical basis of span(generators) + n1*e1 + ... + nk*ek in Z^k.
+
+    The lattice has full rank, so the basis is lower triangular and square.
+    """
+    ring = subgroup.ring
+    moduli_columns = IntMatrix.diagonal(ring.moduli).columns()
+    return canonical_basis(
+        IntMatrix.from_columns(list(subgroup.generators) + moduli_columns, rows=ring.arity)
+    )
 
 
 def closure(ring: ProductRing, generators: Sequence[Sequence[int]]) -> frozenset[tuple[int, ...]]:
@@ -205,9 +219,10 @@ def kernel_lattice(alpha: int, beta: int, n: int) -> KernelLattice:
         ]
     basis = canonical_basis(IntMatrix.from_columns(cols, rows=2))
     lat = KernelLattice(n, basis)
-    g = gcd(a, b, n)
-    assert lat.index() * g == n
-    assert all((a * vx + b * vy) % n == 0 for vx, vy in basis.matrix.columns())
+    if lat.index() * gcd(a, b, n) != n or any(
+        (a * vx + b * vy) % n for vx, vy in basis.matrix.columns()
+    ):
+        raise InvariantError(f"kernel_lattice({alpha}, {beta}, {n}) is not the exact kernel")
     return lat
 
 
@@ -268,17 +283,7 @@ def _two_generators(
     return (g1[0] % n, g1[1] % m), (g2[0] % n, g2[1] % m)
 
 
-def general_is_ideal(subgroup: FiniteSubgroup, cap: int = DEFAULT_MATERIALIZE_CAP) -> bool:
-    """Normative ideal test for any arity: |H| equals the order of the product
-    of its coordinate projections.
-
-    Containment of H in the projection product always holds, so comparing
-    cardinalities decides equality.  Raises EnumerationCapExceeded when no
-    formula path applies and the ring is too large to materialize.
-    """
-    ring = subgroup.ring
-    target = 1
-    for i, n in enumerate(ring.moduli):
-        g = gcd(n, *(vec[i] for vec in subgroup.generators)) if subgroup.generators else n
-        target *= additive_order(g, n)
-    return subgroup.order(cap=cap) == target
+def general_is_ideal(subgroup: FiniteSubgroup) -> bool:
+    """Ideal test for any arity and any ring size: the canonical basis of the
+    lifted lattice span(generators) + n1*e1 + ... + nk*ek is diagonal."""
+    return _lifted_basis(subgroup).matrix.is_diagonal()

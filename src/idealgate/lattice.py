@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Sequence
 
-from .exactarith import xgcd
+from .exactarith import InvariantError, xgcd
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        if not self.cols:
-            raise ValueError("cannot transpose a matrix with zero columns")
-        return IntMatrix.from_rows(self.columns())
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -311,7 +306,8 @@ def witness_2x2(a: int, b: int, c: int, d: int) -> IdealWitness:
     x21 = (b // g_bd) * beta
     x = IntMatrix.from_rows([[x11, x12], [x21, x22]])
     witness = IdealWitness((-g_ac, -det2 // g_ac), x, (0, 1))
-    assert witness.holds_for(IntMatrix.from_rows([[a, c], [b, d]]))
+    if not witness.holds_for(IntMatrix.from_rows([[a, c], [b, d]])):
+        raise InvariantError(f"witness_2x2{(a, b, c, d)} does not diagonalize")
     return witness
 
 
@@ -336,19 +332,14 @@ def fullrank_is_ideal(a: IntMatrix) -> IdealWitness | None:
     u_entries = []
     for i in range(k):
         for j in range(k):
+            # integrality of U: det/d_j divides every entry of adjugate column j
             q, rem = divmod(adj.at(i, j) * diag[j], det_a)
-            assert rem == 0
+            if rem:
+                raise InvariantError("fullrank_is_ideal: A^-1 * Diag(g) is not integral")
             u_entries.append(q)
-    u = IntMatrix(k, k, tuple(u_entries))
-    witness = IdealWitness(tuple(diag), u, tuple(range(k)))
-    # Diagonalization conditions, rechecked exactly before returning:
-    # |det| splits as the diagonal product, and det/d_i divides the gcd of
-    # adjugate column i (integrality of U).
-    assert abs(det_a) == prod(diag)
-    for i in range(k):
-        col_gcd = gcd(*(adj.at(t, i) for t in range(k)))
-        assert col_gcd % (abs(det_a) // diag[i]) == 0
-    assert witness.holds_for(a)
+    witness = IdealWitness(tuple(diag), IntMatrix(k, k, tuple(u_entries)), tuple(range(k)))
+    if not witness.holds_for(a):
+        raise InvariantError("fullrank_is_ideal: witness does not diagonalize")
     return witness
 
 
@@ -382,20 +373,3 @@ def is_ideal_zd(generators: IntMatrix) -> ZdDecision:
     if witness is None:
         return ZdDecision(False, None, "determinant_exceeds_projection_gcds")
     return ZdDecision(True, IdealWitness(witness.diagonal, witness.unimodular, support), None)
-
-
-def random_unimodular(n: int, steps: int, rng) -> IntMatrix:
-    """Product of bounded elementary column operations; determinant is always +-1."""
-    cols = [list(col) for col in IntMatrix.identity(n).columns()]
-    for _ in range(steps):
-        op = rng.randrange(3)
-        i, j = rng.randrange(n), rng.randrange(n)
-        if op == 0 and i != j:
-            q = rng.randint(-3, 3)
-            for t in range(n):
-                cols[i][t] += q * cols[j][t]
-        elif op == 1:
-            cols[i], cols[j] = cols[j], cols[i]
-        else:
-            cols[i] = [-x for x in cols[i]]
-    return IntMatrix.from_columns(cols, rows=n)

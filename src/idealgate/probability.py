@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import divisor_count, factorize, gaussian_binomial, require_prime
+from .exactarith import InvariantError, divisor_count, factorize, gaussian_binomial, require_prime
 from .census import count_ideals_pp, count_subgroups_closed
 
 
@@ -56,7 +56,8 @@ def prob_nm(n: int, m: int) -> ProbabilityReport:
         subgroups *= local.subgroup_count
         probability *= local.probability
     report = ProbabilityReport(f"Z_{n} x Z_{m}", ideals, subgroups, Fraction(ideals, subgroups))
-    assert report.probability == probability
+    if report.probability != probability:
+        raise InvariantError(f"prob_nm({n}, {m}): count ratio differs from the prime-wise product")
     return report
 
 

@@ -41,9 +41,9 @@ from idealgate.lattice import (
     is_ideal_2x2,
     is_ideal_zd,
     member,
-    random_unimodular,
 )
 from idealgate.probability import prob_nm, prob_pp, prob_vector_space
+from matrix_helpers import random_unimodular
 
 
 @contextmanager

@@ -1,11 +1,16 @@
 """Tests for the command-line front end: grammars, JSON schema, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
+import idealgate
 from idealgate.cli import run
+
+SRC = str(Path(idealgate.__file__).resolve().parents[1])
 
 
 def invoke(capsys, *argv):
@@ -114,13 +119,55 @@ def test_usage_errors_exit_2(capsys):
 
 def test_cap_exceeded_exit_3(capsys):
     assert invoke(capsys, "census", "--p", "2", "--r", "7", "--s", "7", "--verify", "--cap", "100")[0] == 3
-    assert (
-        invoke(
-            capsys, "ideal", "zn", "--moduli", "101,103,107",
-            "--gens", "1,0,0;0,1,0;0,0,1", "--cap", "1000",
-        )[0]
-        == 3
+    for command in (("ideal", "zn"), ("order",)):
+        code, out = invoke(
+            capsys, *command, "--moduli", "101,103,107",
+            "--gens", "1,0,0;0,1,0;0,0,1", "--cap", "1000", "--verify",
+        )
+        assert code == 3 and out == ""
+
+
+def test_zn_decided_beyond_cap(capsys):
+    # verdicts and orders never enumerate, so the cap binds only the oracle
+    args = ("--moduli", "101,103,107", "--gens", "1,0,0;0,1,0;0,0,1", "--cap", "1000")
+    code, doc = invoke_json(capsys, "ideal", "zn", *args)
+    assert code == 0 and doc["verdict"] == "ideal"
+    code, doc = invoke_json(capsys, "order", *args)
+    assert code == 0 and doc["verdict"] == 1113121
+    code, doc = invoke_json(capsys, "order", "--moduli", f"{2**64},{3**40}", "--gens", "6,9;2,0")
+    assert code == 0 and doc["verdict"] == 2**63 * 3**38
+
+
+def test_integers_over_the_digit_limit(capsys):
+    # a result too long for int/str conversion is an infeasible input (exit 3)
+    for fmt in ("json", "text"):
+        code = run(["prob", "--p", "2", "--dim", "250", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error:") and "digits" in captured.err
+    # an over-long input integer is a usage error that says why
+    code = run(["ideal", "zd", "--gens", "1" * 5000 + ",0;0,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "5000 digits" in captured.err and "unparseable" not in captured.err
+
+
+def test_invariant_failure_exits_4_under_optimize():
+    # exactness checks are explicit, so they still run when -O strips asserts
+    script = (
+        "import sys, idealgate.cli as cli\n"
+        "assert False, 'asserts are live'\n"
+        "cli.count_subgroups_sum = lambda p, r, s: -1\n"
+        "sys.exit(cli.run(['census', '--p', '2', '--r', '1', '--s', '2']))\n"
     )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: internal invariant failed")
 
 
 def test_cap_env_var_fallback(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from idealgate.exactarith import (
     factorize,
     gaussian_binomial,
     is_prime,
-    split_divisor,
     valuation,
     xgcd,
 )
@@ -112,37 +111,6 @@ def test_additive_order_is_least_annihilating_multiple():
     # reduction mod s happens internally
     assert additive_order(-3, 9) == additive_order(6, 9)
     assert additive_order(11, 8) == additive_order(3, 8)
-
-
-def test_split_divisor_examples():
-    assert split_divisor(12, 4, 6) == (4, 3)
-    assert split_divisor(1, 7, 5) == (1, 1)
-    with pytest.raises(ValueError):
-        split_divisor(8, 2, 2)
-
-
-def test_split_divisor_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        split_divisor(0, 3, 3)
-    with pytest.raises(ValueError):
-        split_divisor(6, -2, 3)
-
-
-def test_split_divisor_postconditions_exhaustive():
-    for g1 in range(1, 101):
-        for g2 in range(1, 101):
-            for d in divisors(g1 * g2):
-                if d > 500:
-                    break
-                d1, d2 = split_divisor(d, g1, g2)
-                assert d1 * d2 == d
-                assert g1 % d1 == 0
-                assert g2 % d2 == 0
-
-
-def test_split_divisor_sign_insensitive():
-    for d, g1, g2 in ((-12, 4, 6), (-45, 9, 25), (-7, 7, 3)):
-        assert split_divisor(d, g1, g2) == split_divisor(-d, g1, g2)
 
 
 def _subspace_count_oracle(r: int, i: int, p: int) -> int:

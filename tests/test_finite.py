@@ -1,5 +1,6 @@
 """Tests for finite product rings and the ideal criteria."""
 
+import random
 from itertools import product
 from math import gcd, lcm
 
@@ -99,8 +100,8 @@ def test_materialize_cap():
     sub = FiniteSubgroup(ring, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
     with pytest.raises(EnumerationCapExceeded):
         sub.materialize(cap=1000)
-    with pytest.raises(EnumerationCapExceeded):
-        sub.order(cap=1000)
+    # the order needs no elements: the generators span the even-sum lattice
+    assert sub.order() == 100**3 // 2
 
 
 def test_order_formula_paths_match_materialization():
@@ -303,17 +304,44 @@ def test_general_three_factor_via_materialization():
             assert general_is_ideal(sub) == expected, (g1, g2)
 
 
-def test_general_cap_when_no_formula_applies():
+def test_general_decides_at_any_ring_size():
     ring = ProductRing((101, 103, 101))
-    sub = FiniteSubgroup(ring, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(EnumerationCapExceeded):
-        general_is_ideal(sub, cap=10**4)
-    # one generator stays decidable at any size: orders 101, 103, 101 share
-    # a factor across the repeated modulus, so this is not an ideal
-    assert not general_is_ideal(FiniteSubgroup(ring, ((1, 1, 1),)), cap=1)
-    assert general_is_ideal(
-        FiniteSubgroup(ProductRing((101, 103, 107)), ((1, 1, 1),)), cap=1
-    )
+    whole = FiniteSubgroup(ring, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert general_is_ideal(whole) and whole.order() == ring.order
+    # orders 101, 103, 101 share a factor across the repeated modulus
+    assert not general_is_ideal(FiniteSubgroup(ring, ((1, 1, 1),)))
+    assert general_is_ideal(FiniteSubgroup(ProductRing((101, 103, 107)), ((1, 1, 1),)))
+    # far beyond enumeration, the paper's criteria still decide independently
+    rng = random.Random(97)
+    n, m = 2**64, 3**40 * 2**10
+    big = ProductRing((n, m))
+    for _ in range(200):
+        g1, g2 = ((rng.randrange(n) >> rng.randrange(64), rng.randrange(m)) for _ in range(2))
+        sub = FiniteSubgroup(big, (g1, g2))
+        assert general_is_ideal(sub) == twogen_is_ideal(n, m, g1, g2)
+        assert sub.order() == subgroup_order_two_gen(n, m, g1, g2)
+        single = FiniteSubgroup(big, (g1,))
+        assert general_is_ideal(single) == cyclic_is_ideal(g1, big)
+        assert single.order() == big.element_order(g1)
+
+
+def test_lattice_core_matches_closure_and_bruteforce():
+    rng = random.Random(4242)
+    ideals = 0
+    for _ in range(3000):
+        moduli = tuple(rng.choice((1, 2, 4, 6, 8, 9)) for _ in range(rng.randint(1, 4)))
+        ring = ProductRing(moduli)
+        gens = tuple(
+            tuple(rng.randrange(n) if rng.random() < 0.8 else 0 for n in moduli)
+            for _ in range(rng.randint(0, ring.arity))
+        )
+        sub = FiniteSubgroup(ring, gens)
+        elements = closure(ring, gens)
+        assert sub.order() == len(elements), (moduli, gens)
+        verdict = general_is_ideal(sub)
+        assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
+        ideals += verdict
+    assert 300 < ideals < 3000 - 300  # both verdicts well represented
 
 
 def test_closure_contained_in_projection_product():

@@ -16,10 +16,10 @@ from idealgate.lattice import (
     is_ideal_2x2,
     is_ideal_zd,
     member,
-    random_unimodular,
     rank1_is_ideal,
     witness_2x2,
 )
+from matrix_helpers import random_unimodular
 
 
 def cols(*columns):
@@ -45,7 +45,6 @@ def test_matrix_accessors_and_product():
     assert a.at(1, 0) == 3
     assert a.row(0) == (1, 2)
     assert a.column(1) == (2, 4)
-    assert a.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
     assert a @ IntMatrix.identity(2) == a
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert a @ b == IntMatrix.from_rows([[2, 1], [4, 3]])
@@ -407,6 +406,35 @@ def test_is_ideal_zd_diagonal_products():
         k = rng.randint(1, 4)
         diag = [rng.randint(1, 6) for _ in range(k)]
         assert is_ideal_zd(IntMatrix.diagonal(diag)).ideal
+
+
+def test_is_ideal_zd_agrees_with_determinant_criteria():
+    # is_ideal_zd (which reduces to the canonical basis first) against the
+    # determinant criteria on the raw generators; the canonical basis of an
+    # ideal is already diagonal, so a certified witness is the identity
+    rng = random.Random(59)
+    ideals = 0
+    for trial in range(1500):
+        k = rng.randint(1, 5)
+        if trial % 2:
+            a = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(k)] for _ in range(k)])
+        else:
+            diag = IntMatrix.diagonal([rng.randint(1, 9) for _ in range(k)])
+            a = diag @ random_unimodular(k, rng.randint(0, 3 * k), rng)
+        if determinant(a) == 0:
+            continue  # the determinant criteria need full rank
+        decision = is_ideal_zd(a)
+        w = fullrank_is_ideal(a)
+        assert decision.ideal == (w is not None), a
+        if k == 2:
+            (p, q), (r, t) = a.column(0), a.column(1)
+            assert decision.ideal == is_ideal_2x2(p, q, r, t)
+        if decision.ideal:
+            ideals += 1
+            assert decision.witness.unimodular == IntMatrix.identity(k)
+            assert decision.witness.diagonal == w.diagonal
+            assert decision.witness.holds_for(canonical_basis(a).matrix)
+    assert ideals > 600
 
 
 def test_witness_validation_rejects_bad_data():
