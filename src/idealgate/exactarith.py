@@ -32,7 +32,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial-division factorization of n >= 1 as (prime, exponent) pairs, primes ascending.
 
-    factorize(1) == [] (empty product).  Intended for desk-scale inputs (<= 10^9).
+    factorize(1) == [] (empty product).  The loop stops once d*d exceeds the
+    unfactored part, so its cost grows with the square root of the second
+    largest prime factor of n, or of n itself when n is prime: about a second
+    at 10^14, with no bound beyond that.
     """
     if n <= 0:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -51,15 +54,50 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
+# The first 13 prime bases decide primality exactly below this bound: no
+# composite below it is a strong pseudoprime to all of them (Sorenson and
+# Webster 2015, "Strong pseudoprimes to twelve prime bases").
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic primality test.
+
+    Below 3317044064679887385961981 this is trial division by the primes up
+    to 41, then Miller-Rabin with those primes as bases, which is exact there
+    and costs at most 13 modular exponentiations.  At or above that bound it
+    falls back to trial division, which is exact at any size but takes time
+    proportional to sqrt(n) on primes.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 1 if d == 2 else 2
+        return True
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41, so no factor up to sqrt(n)
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 

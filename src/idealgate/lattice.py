@@ -279,7 +279,8 @@ class IdealWitness:
             raise ValueError("witness diagonal entries must be nonzero")
         if self.unimodular.rows != k or self.unimodular.cols != k or len(self.support) != k:
             raise ValueError("witness shape mismatch")
-        if determinant(self.unimodular) not in (1, -1):
+        # det(I) == 1, so the usual identity witness skips the Bareiss determinant
+        if self.unimodular != IntMatrix.identity(k) and determinant(self.unimodular) not in (1, -1):
             raise ValueError("witness matrix is not unimodular")
 
     def holds_for(self, basis_matrix: IntMatrix) -> bool:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .exactarith import InvariantError, divisor_count, factorize, gaussian_binomial, require_prime
+from .exactarith import InvariantError, factorize, gaussian_binomial, require_prime
 from .census import count_ideals_pp, count_subgroups_closed
 
 
@@ -40,14 +41,14 @@ def prob_nm(n: int, m: int) -> ProbabilityReport:
     """Probability for Z_n x Z_m, multiplicative over the primes dividing n*m.
 
     Per prime, the exponent pair is sorted ascending before the closed formula
-    applies.  Ideals count as d(n) * d(m) (one per divisor pair); both counts
-    and the probability are exact.
+    applies.  Ideals count as d(n) * d(m) (one per divisor pair), read off the
+    same factorizations; both counts and the probability are exact.
     """
     if n <= 0 or m <= 0:
         raise ValueError("moduli must be positive")
     exponents_n = dict(factorize(n))
     exponents_m = dict(factorize(m))
-    ideals = divisor_count(n) * divisor_count(m)
+    ideals = prod(e + 1 for e in exponents_n.values()) * prod(e + 1 for e in exponents_m.values())
     subgroups = 1
     probability = Fraction(1)
     for p in sorted(set(exponents_n) | set(exponents_m)):

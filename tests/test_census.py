@@ -148,26 +148,42 @@ def test_ideal_count_formula():
 
 
 def test_translation_engine_matches_elementwise():
+    # bit e stands for the e-th element of ring.elements()
     rng = random.Random(99)
     for moduli in ((6, 4), (2, 3, 2), (8,), (1, 5)):
         ring = ProductRing(moduli)
         eng = _TranslationEngine(ring)
         elems = list(ring.elements())
-        assert [eng.unindex(eng.index(e)) for e in elems] == elems
+        position = {e: i for i, e in enumerate(elems)}
         for _ in range(40):
             subset = {e for e in elems if rng.random() < 0.4}
             bits = 0
             for e in subset:
-                bits |= 1 << eng.index(e)
+                bits |= 1 << position[e]
             shift = elems[rng.randrange(len(elems))]
             expected = {ring.add(e, shift) for e in subset}
             translated = eng.translate(bits, shift)
             got = set()
             while translated:
                 low = translated & -translated
-                got.add(eng.unindex(low.bit_length() - 1))
+                got.add(elems[low.bit_length() - 1])
                 translated ^= low
             assert got == expected
+
+
+def test_translation_engine_extend_is_closure():
+    rng = random.Random(7)
+    for moduli in ((6, 4), (2, 3, 2), (12,), (8, 8)):
+        ring = ProductRing(moduli)
+        eng = _TranslationEngine(ring)
+        elems = list(ring.elements())
+        position = {e: i for i, e in enumerate(elems)}
+        for _ in range(30):
+            h_gens = [elems[rng.randrange(len(elems))] for _ in range(rng.randrange(2))]
+            g = elems[rng.randrange(len(elems))]
+            h_bits = sum(1 << position[e] for e in closure(ring, h_gens))
+            k_bits = sum(1 << position[e] for e in closure(ring, h_gens + [g]))
+            assert eng.extend(h_bits, g) == k_bits
 
 
 # === brute-force enumeration ===
@@ -193,7 +209,9 @@ def test_census_small_counts():
 def test_census_matches_naive_all_tuples_closure():
     # direct implementation of the contract: close every generator tuple of
     # size <= arity, deduplicate
-    for moduli in ((4, 2), (3, 3), (2, 2, 2), (5,)):
+    # (6, 4), (12,) and (2, 3, 2) have cyclic quotients of composite order
+    # with two primes, where the per-unit-multiple dedup skips the most
+    for moduli in ((4, 2), (3, 3), (2, 2, 2), (5,), (6, 4), (12,), (2, 3, 2)):
         ring = ProductRing(moduli)
         elems = list(ring.elements())
         naive = {frozenset({ring.zero()})}
@@ -202,6 +220,49 @@ def test_census_matches_naive_all_tuples_closure():
                 naive.add(closure(ring, gens))
         census = enumerate_subgroups_bruteforce(ring)
         assert census.element_sets() == naive
+
+
+def _layered_tuple_closures(ring):
+    """All closures of generator tuples of size <= arity, one layer per tuple
+    size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj)."""
+    elems = list(ring.elements())
+    layer = {frozenset({ring.zero()})}
+    found = set(layer)
+    for _ in range(ring.arity):
+        layer = {closure(ring, list(h) + [g]) for h in layer for g in elems if g not in h} - found
+        found |= layer
+    return found
+
+
+def _moduli_up_to(order, arity):
+    """Every multiset of moduli >= 2 with product <= order and at most arity factors."""
+    out = []
+
+    def grow(prefix, low, budget):
+        if prefix:
+            out.append(tuple(prefix))
+        if len(prefix) == arity:
+            return
+        for n in range(low, budget + 1):
+            grow(prefix + [n], n, budget // n)
+
+    grow([], 2, order)
+    return out
+
+
+def test_census_matches_layered_closure_up_to_order_64():
+    # every ring of order <= 64 and arity <= 3, factors in a seeded order
+    rng = random.Random(64)
+    rings = _moduli_up_to(64, 3)
+    assert len(rings) == 181
+    for moduli in rings:
+        moduli = list(moduli)
+        rng.shuffle(moduli)
+        ring = ProductRing(tuple(moduli))
+        census = enumerate_subgroups_bruteforce(ring)
+        assert census.element_sets() == _layered_tuple_closures(ring), moduli
+        for sub in census.members:
+            assert closure(ring, sub.generators) == sub.elements, (moduli, sub.generators)
 
 
 def test_census_members_are_closed_and_generated():

@@ -61,6 +61,48 @@ def test_is_prime_against_factorization():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_against_trial_division():
+    import random
+
+    for n in range(-5, 2 * 10**5):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+    rng = random.Random(4242)
+    for _ in range(3000):
+        n = rng.randint(1, 10**10)
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, respectively
+    for n, factors in (
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
+    ):
+        assert prod(factors) == n
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**79 - 67)
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # at or above 3317044064679887385961981 the test is trial division
+    bound = 3317044064679887385961981
+    assert not is_prime(bound + 1)
+    assert not is_prime(3 * 5 * 7 * 10**24)
+    assert not is_prime(7 * (bound // 7 + 1))
+
+
 def test_xgcd_bezout_identity():
     for a in range(-30, 31):
         for b in range(-30, 31):

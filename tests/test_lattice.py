@@ -444,3 +444,17 @@ def test_witness_validation_rejects_bad_data():
         IdealWitness((2,), IntMatrix.identity(2), (0,))
     with pytest.raises(ValueError):
         IdealWitness((2, 1), IntMatrix.from_rows([[2, 0], [0, 1]]), (0, 1))
+
+
+def test_witness_unimodularity_check_with_and_without_identity():
+    for k in range(1, 13):
+        IdealWitness(tuple(range(1, k + 1)), IntMatrix.identity(k), tuple(range(k)))
+    for u in ([[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [2, 1]]):
+        IdealWitness((2, 3), IntMatrix.from_rows(u), (0, 1))
+    for u in ([[1, 0], [0, 2]], [[1, 0], [0, 0]], [[1, 1], [1, 1]], [[1, 0], [0, -3]]):
+        with pytest.raises(ValueError):
+            IdealWitness((2, 3), IntMatrix.from_rows(u), (0, 1))
+    almost = [[int(i == j) for j in range(12)] for i in range(12)]
+    almost[11][11] = 2
+    with pytest.raises(ValueError):
+        IdealWitness(tuple(range(1, 13)), IntMatrix.from_rows(almost), tuple(range(12)))
