@@ -32,26 +32,38 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial-division factorization of n >= 1 as (prime, exponent) pairs, primes ascending.
 
-    factorize(1) == [] (empty product).  The loop stops once d*d exceeds the
-    unfactored part, so its cost grows with the square root of the second
-    largest prime factor of n, or of n itself when n is prime: about a second
-    at 10^14, with no bound beyond that.
+    factorize(1) == [] (empty product).  The loop stops once the unfactored
+    part is below d*d or is a prime below 3317044064679887385961981 (checked
+    by is_prime before the loop and after each prime factor is divided out).
+    Reaching a prime factor p takes about p/2 divisions, so the cost follows
+    the second largest prime factor of n, counted with multiplicity: a prime
+    n, or a prime cofactor, costs one is_prime.  A product p*q of two large
+    primes p <= q still takes about p/2 divisions, with no bound.
     """
     if n <= 0:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors: list[tuple[int, int]] = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
+    if not _is_prime_below_bound(n):
+        while d * d <= n:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                factors.append((d, e))
+                if _is_prime_below_bound(n):
+                    break
+            d += 1 if d == 2 else 2
     if n > 1:
         factors.append((n, 1))
     return factors
+
+
+def _is_prime_below_bound(n: int) -> bool:
+    """n is prime and below the Miller-Rabin bound.  At or above the bound
+    is_prime is trial division itself, so it is not asked there."""
+    return n < _MILLER_RABIN_EXACT_BELOW and is_prime(n)
 
 
 # The first 13 prime bases decide primality exactly below this bound: no

@@ -184,6 +184,9 @@ def test_translation_engine_extend_is_closure():
             h_bits = sum(1 << position[e] for e in closure(ring, h_gens))
             k_bits = sum(1 << position[e] for e in closure(ring, h_gens + [g]))
             assert eng.extend(h_bits, g) == k_bits
+            # with the quotient order given, the doubling stops as soon as it is reached
+            quotient = k_bits.bit_count() // h_bits.bit_count()
+            assert eng.extend(h_bits, g, quotient) == k_bits
 
 
 # === brute-force enumeration ===
@@ -224,14 +227,44 @@ def test_census_matches_naive_all_tuples_closure():
 
 def _layered_tuple_closures(ring):
     """All closures of generator tuples of size <= arity, one layer per tuple
-    size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj)."""
+    size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj).
+
+    Also returns how many extensions the census may make: for every H of
+    the layers it extends, the number of distinct <H, g> with g outside H
+    (one per nontrivial cyclic subgroup of the quotient by H).  Only the
+    coset argument is used here: every g' in g + H gives <H, g'> = <H, g>.
+    """
     elems = list(ring.elements())
     layer = {frozenset({ring.zero()})}
     found = set(layer)
+    extensions = 0
     for _ in range(ring.arity):
-        layer = {closure(ring, list(h) + [g]) for h in layer for g in elems if g not in h} - found
+        grown = set()
+        for h in layer:
+            covered = set(h)
+            over_h = set()
+            for g in elems:
+                if g not in covered:
+                    over_h.add(closure(ring, list(h) + [g]))
+                    covered.update(ring.add(g, x) for x in h)
+            extensions += len(over_h)
+            grown |= over_h
+        layer = grown - found
         found |= layer
-    return found
+    return found, extensions
+
+
+def _count_extensions(monkeypatch):
+    """Record every _TranslationEngine.extend call in the returned list."""
+    calls = []
+    extend = _TranslationEngine.extend
+
+    def counted(self, *args):
+        calls.append(args)
+        return extend(self, *args)
+
+    monkeypatch.setattr(_TranslationEngine, "extend", counted)
+    return calls
 
 
 def _moduli_up_to(order, arity):
@@ -250,19 +283,47 @@ def _moduli_up_to(order, arity):
     return out
 
 
-def test_census_matches_layered_closure_up_to_order_64():
+def _check_against_layered_closure(ring, calls):
+    calls.clear()
+    census = enumerate_subgroups_bruteforce(ring)
+    expected, extensions = _layered_tuple_closures(ring)
+    assert census.element_sets() == expected, ring.moduli
+    keys = [(len(sub.elements), sorted(sub.elements)) for sub in census.members]
+    assert keys == sorted(keys), ring.moduli
+    # one closure per (H, cyclic subgroup of the quotient by H), none repeated
+    assert len(calls) == extensions, ring.moduli
+    for sub in census.members:
+        assert closure(ring, sub.generators) == sub.elements, (ring.moduli, sub.generators)
+
+
+def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
     # every ring of order <= 64 and arity <= 3, factors in a seeded order
+    calls = _count_extensions(monkeypatch)
     rng = random.Random(64)
     rings = _moduli_up_to(64, 3)
     assert len(rings) == 181
     for moduli in rings:
         moduli = list(moduli)
         rng.shuffle(moduli)
-        ring = ProductRing(tuple(moduli))
-        census = enumerate_subgroups_bruteforce(ring)
-        assert census.element_sets() == _layered_tuple_closures(ring), moduli
-        for sub in census.members:
-            assert closure(ring, sub.generators) == sub.elements, (moduli, sub.generators)
+        _check_against_layered_closure(ProductRing(tuple(moduli)), calls)
+
+
+def test_census_composite_quotient_orders(monkeypatch):
+    # quotients of order 36, 18, 12, 6, ...: divisor chains with two primes
+    # and proper divisors that are neither prime nor prime powers
+    calls = _count_extensions(monkeypatch)
+    for moduli in ((12, 36), (6, 6, 6)):
+        _check_against_layered_closure(ProductRing(moduli), calls)
+
+
+def test_census_cyclic_rings_up_to_720():
+    # Z_n has one subgroup per divisor d of n: the multiples of n/d
+    for n in range(1, 721):
+        census = enumerate_subgroups_bruteforce(ProductRing((n,)))
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert len(census) == len(divisors), n
+        for d, sub in zip(divisors, census.members):
+            assert sub.elements == frozenset((j * (n // d),) for j in range(d)), (n, d)
 
 
 def test_census_members_are_closed_and_generated():

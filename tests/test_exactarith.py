@@ -83,6 +83,55 @@ def test_is_prime_against_trial_division():
         assert is_prime(n) == _trial_division_is_prime(n), n
 
 
+def _trial_division_factorize(n):
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+def test_factorize_against_trial_division():
+    primes = [2, 3, 41, 43, 1847, 1861, 65537, 999983, 1000003, 2147483647, 999999999989]
+    assert all(_trial_division_is_prime(p) for p in primes)
+    cases = [1] + primes
+    cases += [2**40, 3**25, 43**7, 65537**2, 1000003**2]  # prime powers
+    cases += [3 * 999999999989, 41 * 999983, 1847 * 2147483647]  # p*q, p < sqrt(q)
+    cases += [43 * 47, 1847 * 1000003, 65537 * 2147483647, 999983 * 1000003]  # p > sqrt(q)
+    cases += [
+        2**5 * 3**2 * 999999999989,  # products whose last cofactor is a large prime
+        41 * 43**2 * 999983,
+        2 * 3 * 5 * 7 * 11 * 13 * 2147483647,
+        65537**2 * 1000003,
+    ]
+    above_bound = 2**30 * 3**20 * 999983  # prime checks start only below the bound
+    assert above_bound >= 3317044064679887385961981
+    cases.append(above_bound)
+    for n in cases:
+        assert factorize(n) == _trial_division_factorize(n), n
+
+
+def test_factorize_stops_on_a_prime_cofactor():
+    # trial division alone would take 5*10^6 to 8*10^8 divisions on these
+    mersenne_61 = 2**61 - 1
+    assert factorize(mersenne_61) == [(mersenne_61, 1)]
+    assert factorize(10**14 + 31) == [(10**14 + 31, 1)]
+    assert factorize(720 * mersenne_61) == [(2, 4), (3, 2), (5, 1), (mersenne_61, 1)]
+    # at or above 3317044064679887385961981 the prime check is skipped, so
+    # the cofactor is checked only once it falls below that bound
+    n = 2**22 * mersenne_61
+    assert n >= 3317044064679887385961981
+    assert factorize(n) == [(2, 22), (mersenne_61, 1)]
+
+
 def test_is_prime_rejects_strong_pseudoprimes():
     # strong pseudoprimes to the first 4, 9 and 12 prime bases, respectively
     for n, factors in (
