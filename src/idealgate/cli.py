@@ -94,6 +94,33 @@ def _caps(args: argparse.Namespace) -> tuple[int, int]:
     return cap, cap
 
 
+class _DigitLimitExceeded(Exception):
+    """A document would hold an integer over Python's int/str digit limit."""
+
+
+def _digit_limit_error() -> str:
+    return (
+        "error: the result has an integer over Python's limit of "
+        f"{sys.get_int_max_str_digits()} digits for int/str conversion"
+    )
+
+
+def _require_printable_power(p: int, e: int) -> None:
+    """Raise _DigitLimitExceeded, before anything is counted, when p**e (p >= 2)
+    has more decimal digits than int/str conversion allows.
+
+    Far from the limit this is read off bit lengths without building p**e:
+    2**(e * (p.bit_length() - 1)) <= p**e < 2**(e * p.bit_length()), and
+    2**(3*L) < 10**L < 2**(4*L).  Between the two, p**e has at most 8*L bits,
+    and the digits are compared exactly.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or e * p.bit_length() <= 3 * limit:
+        return
+    if e * (p.bit_length() - 1) > 4 * limit or p**e >= 10**limit:
+        raise _DigitLimitExceeded
+
+
 def _fraction_doc(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
@@ -204,6 +231,7 @@ def _handle_census(args: argparse.Namespace) -> tuple[dict, int]:
     require_prime(args.p)
     if args.r < 0 or args.s < 0:
         raise ValueError("--r and --s must be nonnegative")
+    _require_printable_power(args.p, max(args.r, args.s))  # the larger modulus
     subgroups = count_subgroups_closed(args.p, args.r, args.s)
     if subgroups != count_subgroups_sum(args.p, args.r, args.s):
         raise InvariantError("closed-form and summed subgroup counts differ")
@@ -235,6 +263,12 @@ def _handle_prob(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         if args.p is None or args.dim is None:
             raise ValueError("use --n with --m, or --p with --dim")
+        require_prime(args.p)
+        if args.dim < 1:
+            raise ValueError("need at least one factor")
+        # the subspace count is at least its Gaussian binomial at dim // 2,
+        # which is at least p**((dim // 2) * (dim - dim // 2))
+        _require_printable_power(args.p, args.dim * args.dim // 4)
         report = prob_vector_space(args.p, args.dim)
         moduli = [args.p] * args.dim
     doc = {
@@ -425,6 +459,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _DigitLimitExceeded:
+        print(_digit_limit_error(), file=sys.stderr)
+        return 3
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
@@ -436,11 +473,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         rendered = _render_text(doc) if args.format == "text" else json.dumps(doc)
     except ValueError:
         # the only ValueError rendering can raise: Python's int/str digit limit
-        print(
-            "error: the result has an integer over Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits for int/str conversion",
-            file=sys.stderr,
-        )
+        print(_digit_limit_error(), file=sys.stderr)
         return 3
     print(rendered)
     return code

@@ -62,7 +62,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def _is_prime_below_bound(n: int) -> bool:
     """n is prime and below the Miller-Rabin bound.  At or above the bound
-    is_prime is trial division itself, so it is not asked there."""
+    is_prime proves a prime only by trial division itself, so it is not asked
+    there."""
     return n < _MILLER_RABIN_EXACT_BELOW and is_prime(n)
 
 
@@ -76,21 +77,17 @@ _MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Below 3317044064679887385961981 this is trial division by the primes up
-    to 41, then Miller-Rabin with those primes as bases, which is exact there
-    and costs at most 13 modular exponentiations.  At or above that bound it
-    falls back to trial division, which is exact at any size but takes time
-    proportional to sqrt(n) on primes.
+    Trial division by the primes up to 41, then Miller-Rabin with those
+    primes as bases, at most 13 modular exponentiations.  Below
+    3317044064679887385961981 this is exact.  At or above that bound a base
+    that fails still proves n composite, so composites are decided at once
+    unless they are strong pseudoprimes to all 13 bases; only the numbers
+    that pass every base fall back to trial division, which is exact at any
+    size but takes time proportional to sqrt(n).  So a prime above the bound
+    still takes unbounded time: no primality certificate is built yet.
     """
     if n < 2:
         return False
-    if n >= _MILLER_RABIN_EXACT_BELOW:
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 1 if d == 2 else 2
-        return True
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
@@ -110,6 +107,12 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        q = 43
+        while q * q <= n:
+            if n % q == 0:
+                return False
+            q += 2
     return True
 
 

@@ -2,7 +2,7 @@
 
 import random
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 import pytest
 
 from idealgate.census import (
@@ -189,6 +189,20 @@ def test_translation_engine_extend_is_closure():
             assert eng.extend(h_bits, g, quotient) == k_bits
 
 
+def test_translation_engine_torsion():
+    # G[e] = {x : e*x = 0}, against the tuples
+    for moduli in ((6, 4), (2, 3, 2), (12,), (8, 8), (4, 1, 6), (2, 2, 2, 2)):
+        ring = ProductRing(moduli)
+        eng = _TranslationEngine(ring)
+        for e in range(1, 26):
+            expected = sum(
+                1 << i
+                for i, x in enumerate(ring.elements())
+                if all(e * c % n == 0 for c, n in zip(x, moduli))
+            )
+            assert eng.torsion(e) == expected, (moduli, e)
+
+
 # === brute-force enumeration ===
 
 
@@ -225,14 +239,21 @@ def test_census_matches_naive_all_tuples_closure():
         assert census.element_sets() == naive
 
 
+def _exponent(ring, elements):
+    """The least e >= 1 with e*x = 0 for every x in elements."""
+    return lcm(*(n // gcd(x, n) for v in elements for x, n in zip(v, ring.moduli)))
+
+
 def _layered_tuple_closures(ring):
     """All closures of generator tuples of size <= arity, one layer per tuple
     size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj).
 
     Also returns how many extensions the census may make: for every H of
     the layers it extends, the number of distinct <H, g> with g outside H
-    (one per nontrivial cyclic subgroup of the quotient by H).  Only the
-    coset argument is used here: every g' in g + H gives <H, g'> = <H, g>.
+    and, unless H is trivial, exp(H)*g = 0 (one per nontrivial cyclic
+    subgroup of (H + G[exp H])/H).  The layers themselves extend H by every
+    g outside H.  Only the coset argument is used here: every g' in g + H
+    gives <H, g'> = <H, g>.
     """
     elems = list(ring.elements())
     layer = {frozenset({ring.zero()})}
@@ -241,13 +262,18 @@ def _layered_tuple_closures(ring):
     for _ in range(ring.arity):
         grown = set()
         for h in layer:
+            e = _exponent(ring, h)
             covered = set(h)
             over_h = set()
+            torsion_over_h = set()
             for g in elems:
                 if g not in covered:
-                    over_h.add(closure(ring, list(h) + [g]))
+                    k = closure(ring, list(h) + [g])
+                    over_h.add(k)
+                    if e == 1 or all(e * x % n == 0 for x, n in zip(g, ring.moduli)):
+                        torsion_over_h.add(k)
                     covered.update(ring.add(g, x) for x in h)
-            extensions += len(over_h)
+            extensions += len(torsion_over_h)
             grown |= over_h
         layer = grown - found
         found |= layer
@@ -313,6 +339,14 @@ def test_census_composite_quotient_orders(monkeypatch):
     # and proper divisors that are neither prime nor prime powers
     calls = _count_extensions(monkeypatch)
     for moduli in ((12, 36), (6, 6, 6)):
+        _check_against_layered_closure(ProductRing(moduli), calls)
+
+
+def test_census_arity_4_layers(monkeypatch):
+    # four layers, and subgroups of rank 2 and 3 whose exponent is below the
+    # ring's, so that G[exp H] is a proper subgroup
+    calls = _count_extensions(monkeypatch)
+    for moduli in ((2, 2, 2, 2), (2, 2, 2, 4), (4, 2, 4, 2), (2, 2, 4, 4), (3, 3, 3, 2)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
 

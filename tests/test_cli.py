@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import idealgate
+from idealgate import cli
 from idealgate.cli import run
 
 SRC = str(Path(idealgate.__file__).resolve().parents[1])
@@ -150,6 +151,53 @@ def test_integers_over_the_digit_limit(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "5000 digits" in captured.err and "unparseable" not in captured.err
+
+
+def test_unprintable_results_exit_3_before_counting(capsys, monkeypatch):
+    # the census prints the modulus p**max(r, s), and the subspace count is at
+    # least p**(dim*dim // 4): over the digit limit, nothing is counted
+    def never(*args):
+        raise AssertionError("counted a result that cannot be printed")
+
+    for name in ("count_subgroups_closed", "count_subgroups_sum", "prob_vector_space"):
+        monkeypatch.setattr(cli, name, never)
+    for argv in (
+        ["census", "--p", "2", "--r", "100000", "--s", "100000"],
+        ["census", "--p", "2", "--r", "1", "--s", "1000000000", "--verify"],
+        ["census", "--p", "2", "--r", "14285", "--s", "0"],
+        ["census", "--p", "127", "--r", "0", "--s", "2044"],
+        ["prob", "--p", "2", "--dim", "1500", "--verify"],
+        ["prob", "--p", "3", "--dim", "200", "--format", "text"],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", argv
+        assert captured.err.startswith("error:") and "digits" in captured.err, argv
+    monkeypatch.undo()
+    # 2**14284 and 127**2043 have 4300 and 4299 digits: they still print
+    code, doc = invoke_json(capsys, "census", "--p", "2", "--r", "14284", "--s", "0")
+    assert code == 0 and doc["ring"]["moduli"] == [2**14284, 1]
+    code, doc = invoke_json(capsys, "census", "--p", "127", "--r", "0", "--s", "2043")
+    assert code == 0 and doc["ring"]["moduli"] == [1, 127**2043]
+
+
+def test_large_inputs_exit_within_seconds():
+    # a composite --p above the Miller-Rabin bound is rejected by a failed
+    # base, and unprintable results are refused before they are computed
+    script = (
+        "from idealgate.cli import run\n"
+        "print([run(a.split()) for a in (\n"
+        "    'census --p 4000000000252000000000369 --r 1 --s 1',\n"
+        "    'census --p 2 --r 100000 --s 100000',\n"
+        "    'prob --p 2 --dim 1500',\n"
+        ")])\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.stdout == "[2, 3, 3]\n", proc.stderr
 
 
 def test_invariant_failure_exits_4_under_optimize():

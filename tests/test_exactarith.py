@@ -1,10 +1,15 @@
 """Tests for the exact integer primitives."""
 
+import os
+import subprocess
+import sys
 from itertools import product
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
+import idealgate
 from idealgate.exactarith import (
     additive_order,
     divisor_count,
@@ -15,6 +20,8 @@ from idealgate.exactarith import (
     valuation,
     xgcd,
 )
+
+SRC = str(Path(idealgate.__file__).resolve().parents[1])
 
 
 def test_factorize_examples():
@@ -145,11 +152,40 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 
 def test_is_prime_above_the_miller_rabin_bound():
-    # at or above 3317044064679887385961981 the test is trial division
+    # at or above 3317044064679887385961981 only the numbers that pass every
+    # base go on to trial division
     bound = 3317044064679887385961981
     assert not is_prime(bound + 1)
     assert not is_prime(3 * 5 * 7 * 10**24)
     assert not is_prime(7 * (bound // 7 + 1))
+
+
+def test_is_prime_rejects_composites_above_the_bound_without_trial_division():
+    # smallest prime factor over 10^12: trial division would take about 5*10^11
+    # steps, so a fall-back to it shows as a timeout of the subprocess
+    composites = (
+        (2000000000003, 2000000000123),
+        (1000000000039, 4000000000039),
+        (2000001000001, 2000001000001),
+    )
+    for factors in composites:
+        assert all(is_prime(f) and f > 10**12 for f in factors)
+        assert prod(factors) >= 3317044064679887385961981
+    script = (
+        "from math import prod\n"
+        "from idealgate.exactarith import is_prime\n"
+        f"print([is_prime(prod(f)) for f in {composites!r}])\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False]\n"
 
 
 def test_xgcd_bezout_identity():
