@@ -6,29 +6,20 @@ subgroup pair, quotient isomorphism), and a brute-force enumerator that closes
 every generator tuple up to the arity bound.  Counting formulas with exact
 integer division sit alongside both.
 
-The brute-force enumerator holds subgroups as bitsets over the ring and
-extends each subgroup H by one element g at a time, closing <H, g> by
-doubling.  With k = |<H, g>/H|, every element j*g + h of <H, g> outside H
-generates <H, gcd(j, k)*g>, so one closure of <H, g> names all the subgroups
-<H, d*g> for the divisors d of k; each is closed once, while its generator
-d*g is still unused, and then all of <H, g> outside H is skipped.
-
-A subgroup H != 0 is extended only by the g of G[exp H] = {x : exp(H)*x = 0}.
-By the invariant-factor form of the fundamental theorem of finite abelian
-groups, a subgroup of rank j is a direct sum <x_1> + ... + <x_j> with
-ord(x_j) | ... | ord(x_1), so it is <H, x_j> for H = <x_1, ..., x_{j-1}> of
-rank j - 1, and x_j lies in G[ord(x_1)] = G[exp H].  So H is extended once
-per cyclic subgroup of (H + G[exp H])/H, and no counting formula is used.
+The brute-force enumerator runs on the bitset engine of finite.py, the one
+closure() uses.  It extends each subgroup H once per cyclic subgroup of
+(H + G[exp H])/H, where G[e] = {x : e*x = 0}; its docstring shows from the
+invariant-factor form of the fundamental theorem of finite abelian groups
+that this reaches every subgroup, without any counting formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 
 from .exactarith import InvariantError, require_prime, valuation
-from .finite import EnumerationCapExceeded, FiniteSubgroup, ProductRing
+from .finite import EnumerationCapExceeded, FiniteSubgroup, ProductRing, _members, _TranslationEngine
 
 # Max ring order for a brute-force census.  A census takes one closure per
 # pair (subgroup H, cyclic subgroup of (H + G[exp H])/H), with all of G for
@@ -211,105 +202,10 @@ class SubgroupSet:
         return {m.elements for m in self.members}
 
 
-class _TranslationEngine:
-    """Subgroups of a product ring as N-bit integers, one bit per element.
-
-    Bit e stands for the e-th element of ring.elements(), i.e. the element with
-    mixed-radix index e = sum(x_i * strides[i]).  Translating a set by a ring
-    element is a per-axis cyclic rotation of bit blocks, done with two shifts
-    and two repeating masks per axis.  The masks are built on first use, one
-    table per axis keyed by residue: Z_10000 would need about 25 MB of them
-    up front.
-    """
-
-    def __init__(self, ring: ProductRing) -> None:
-        self.moduli = ring.moduli
-        k = len(self.moduli)
-        strides = [1] * k
-        for i in range(k - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.moduli[i + 1]
-        self.strides = strides
-        self.full = full = (1 << ring.order) - 1
-        # bit `start` set for every block start of the axis: a mask repeated
-        # over all blocks is one multiplication by it
-        self._repunits = [full // ((1 << n * s) - 1) for n, s in zip(self.moduli, strides)]
-        self._rotations: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in self.moduli]
-
-    def _rotation(self, axis: int, d: int) -> tuple[int, int, int, int]:
-        stride = self.strides[axis]
-        shift = d * stride
-        back = self.moduli[axis] * stride - shift
-        repunit = self._repunits[axis]
-        rotation = (shift, back, ((1 << back) - 1) * repunit, ((1 << shift) - 1) * repunit)
-        self._rotations[axis][d] = rotation
-        return rotation
-
-    def translate(self, bits: int, vec: tuple[int, ...]) -> int:
-        for axis, v in enumerate(vec):
-            if v:
-                rotation = self._rotations[axis].get(v) or self._rotation(axis, v)
-                shift, back, m_lo, m_hi = rotation
-                bits = ((bits & m_lo) << shift) | ((bits >> back) & m_hi)
-        return bits
-
-    def torsion(self, e: int) -> int:
-        """G[e] = {x : e*x = 0}: the elements whose every coordinate x_i is a
-        multiple of n_i / gcd(e, n_i).
-
-        On an axis with stride s and step t = n_i / gcd(e, n_i) that keeps the
-        first s-bit block of every t*s bits, which is one block times the
-        repunit of period t*s over the whole ring.
-        """
-        full = self.full
-        bits = full
-        for n, stride in zip(self.moduli, self.strides):
-            period = n // gcd(e, n) * stride
-            if period > stride:
-                bits &= ((1 << stride) - 1) * (full // ((1 << period) - 1))
-        return bits
-
-    def extend(self, h_bits: int, g: tuple[int, ...], quotient: int = 0) -> int:
-        """The subgroup <H, g>, closed by doubling.
-
-        S_1 = H and S_2c = S_c | (c*g + S_c), the union of the cosets j*g + H
-        for j < 2c.  While c < |<H, g>/H| the coset c*g + H is new, so S_2c
-        grows; once S_2c == S_c, S_c is all of <H, g>.  A caller that knows
-        the quotient order q = |<H, g>/H| passes it, and the doubling stops
-        after the ceil(log2(q)) steps that reach it, without the step that
-        only confirms it.  The translation by c*g is translate() inlined.
-        """
-        tables = self._rotations
-        axes = [(axis, x, n, tables[axis]) for axis, (x, n) in enumerate(zip(g, self.moduli)) if x]
-        bits = h_bits
-        c = 1
-        # counts down to 0 when the quotient order is known, never reaches it otherwise
-        steps_left = (quotient - 1).bit_length() if quotient else -1
-        while steps_left:
-            moved = bits
-            for axis, x, n, table in axes:
-                v = c * x % n
-                if v:
-                    rotation = table.get(v) or self._rotation(axis, v)
-                    shift, back, m_lo, m_hi = rotation
-                    moved = ((moved & m_lo) << shift) | ((moved >> back) & m_hi)
-            grown = bits | moved
-            if grown == bits:
-                return bits
-            bits = grown
-            c += c
-            steps_left -= 1
-        return bits
-
-
 def _proper_divisors(k: int) -> list[int]:
     """The divisors d of k with 1 < d < k, largest first."""
     low = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
     return [k // d for d in low] + [d for d in reversed(low) if d * d != k]
-
-
-# bytes.translate table: the characters '0'/'1' of bin() to flags for
-# itertools.compress
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def enumerate_subgroups_bruteforce(
@@ -394,13 +290,11 @@ def enumerate_subgroups_bruteforce(
             break
     keyed = []
     for bits, gens in generators.items():
-        set_bits = bin(bits)[:1:-1]  # character e is bit e
-        flags = set_bits.encode().translate(_BIT_FLAGS)
-        member = FiniteSubgroup(ring, gens, frozenset(compress(elements, flags)))
+        member = FiniteSubgroup(ring, gens, _members(bits, elements))
         # bit e moved to place N-1-e: for two sets of one size, the first bit e
         # where they differ is in the one with the smaller sorted element
         # list (elements[e] against a larger element), whose value is larger
-        mirrored = int(set_bits.ljust(ring.order, "0"), 2)
+        mirrored = int(bin(bits)[:1:-1].ljust(ring.order, "0"), 2)
         keyed.append((bits.bit_count(), -mirrored, member))
     keyed.sort(key=lambda t: t[:2])
     return SubgroupSet(ring, tuple(member for _, _, member in keyed))

@@ -8,7 +8,6 @@ import pytest
 from idealgate.census import (
     GoursatTuple,
     SubgroupSet,
-    _TranslationEngine,
     census_ideal_count,
     count_ideals_pp,
     count_subgroups_closed,
@@ -20,7 +19,27 @@ from idealgate.census import (
     tuple_from_subgroup,
     tuple_to_subgroup,
 )
-from idealgate.finite import EnumerationCapExceeded, FiniteSubgroup, ProductRing, closure
+from idealgate.finite import (
+    EnumerationCapExceeded,
+    FiniteSubgroup,
+    ProductRing,
+    _TranslationEngine,
+    closure,
+)
+
+
+def _tuple_closure(ring, generators):
+    """Additive closure by tuple arithmetic, one coset of H at a time: the
+    oracle for the bitset engine, which closure() and the census share."""
+    elems = {ring.zero()}
+    for g in generators:
+        g = ring.reduce(g)
+        # g + H, 2g + H, ... are new cosets until k*g + H is H again
+        coset = {ring.add(g, x) for x in elems}
+        while not coset <= elems:
+            elems |= coset
+            coset = {ring.add(g, x) for x in coset}
+    return frozenset(elems)
 
 
 # === classifying tuples ===
@@ -79,7 +98,7 @@ def test_tuple_subgroup_size_formula():
                     sub = tuple_to_subgroup(t)
                     assert len(sub.elements) == p ** (t.a1 + t.b2)
                     # the stored generators really generate the element set
-                    assert closure(sub.ring, sub.generators) == sub.elements
+                    assert _tuple_closure(sub.ring, sub.generators) == sub.elements
 
 
 def test_tuple_roundtrip():
@@ -181,12 +200,26 @@ def test_translation_engine_extend_is_closure():
         for _ in range(30):
             h_gens = [elems[rng.randrange(len(elems))] for _ in range(rng.randrange(2))]
             g = elems[rng.randrange(len(elems))]
-            h_bits = sum(1 << position[e] for e in closure(ring, h_gens))
-            k_bits = sum(1 << position[e] for e in closure(ring, h_gens + [g]))
+            h_bits = sum(1 << position[e] for e in _tuple_closure(ring, h_gens))
+            k_bits = sum(1 << position[e] for e in _tuple_closure(ring, h_gens + [g]))
             assert eng.extend(h_bits, g) == k_bits
             # with the quotient order given, the doubling stops as soon as it is reached
             quotient = k_bits.bit_count() // h_bits.bit_count()
             assert eng.extend(h_bits, g, quotient) == k_bits
+
+
+def test_closure_and_materialize_match_tuple_closure():
+    # seeded subgroups of arity 1-4, with modulus-1 axes among the factors
+    rng = random.Random(3000)
+    for _ in range(3000):
+        arity = rng.randint(1, 4)
+        top = (12, 12, 8, 5)[arity - 1]
+        moduli = tuple(rng.randint(1, top) for _ in range(arity))
+        ring = ProductRing(moduli)
+        gens = [tuple(rng.randrange(n) for n in moduli) for _ in range(rng.randint(0, arity))]
+        expected = _tuple_closure(ring, gens)
+        assert closure(ring, gens) == expected, (moduli, gens)
+        assert FiniteSubgroup(ring, gens).materialize().elements == expected, (moduli, gens)
 
 
 def test_translation_engine_torsion():
@@ -234,7 +267,7 @@ def test_census_matches_naive_all_tuples_closure():
         naive = {frozenset({ring.zero()})}
         for size in range(1, ring.arity + 1):
             for gens in product(elems, repeat=size):
-                naive.add(closure(ring, gens))
+                naive.add(_tuple_closure(ring, gens))
         census = enumerate_subgroups_bruteforce(ring)
         assert census.element_sets() == naive
 
@@ -268,7 +301,7 @@ def _layered_tuple_closures(ring):
             torsion_over_h = set()
             for g in elems:
                 if g not in covered:
-                    k = closure(ring, list(h) + [g])
+                    k = _tuple_closure(ring, list(h) + [g])
                     over_h.add(k)
                     if e == 1 or all(e * x % n == 0 for x, n in zip(g, ring.moduli)):
                         torsion_over_h.add(k)
@@ -319,7 +352,7 @@ def _check_against_layered_closure(ring, calls):
     # one closure per (H, cyclic subgroup of the quotient by H), none repeated
     assert len(calls) == extensions, ring.moduli
     for sub in census.members:
-        assert closure(ring, sub.generators) == sub.elements, (ring.moduli, sub.generators)
+        assert _tuple_closure(ring, sub.generators) == sub.elements, (ring.moduli, sub.generators)
 
 
 def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
@@ -363,7 +396,7 @@ def test_census_cyclic_rings_up_to_720():
 def test_census_members_are_closed_and_generated():
     census = enumerate_subgroups_bruteforce(ProductRing((4, 6)))
     for sub in census.members:
-        assert closure(sub.ring, sub.generators) == sub.elements
+        assert _tuple_closure(sub.ring, sub.generators) == sub.elements
 
 
 def test_census_deterministic_order():

@@ -200,6 +200,39 @@ def test_large_inputs_exit_within_seconds():
     assert proc.stdout == "[2, 3, 3]\n", proc.stderr
 
 
+def test_verify_materializes_at_the_cap():
+    # --verify materializes the subgroup: whole rings of order 10^6, the
+    # default cap, and small subgroups of them, at arity 2 and 6
+    whole6 = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
+    cases = [
+        ("1000,1000", "1,0;0,1", "ideal", 10**6),
+        ("1000,1000", "500,0", "ideal", 2),
+        ("10,10,10,10,10,10", whole6, "ideal", 10**6),
+        ("10,10,10,10,10,10", "1,1,0,0,0,0", "not_ideal", 10),
+    ]
+    argvs = [
+        f"{command} --moduli {moduli} --gens {gens} --verify"
+        for moduli, gens, _, _ in cases
+        for command in ("ideal zn", "order")
+    ]
+    script = (
+        "import sys\n"
+        "from idealgate.cli import run\n"
+        "print([run(a.split()) for a in sys.argv[1:]])\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=env, timeout=60
+    )
+    *lines, codes = proc.stdout.splitlines()
+    assert codes == str([0] * len(argvs)), proc.stderr
+    docs = [json.loads(line) for line in lines]
+    for (_, _, verdict, order), ideal_doc, order_doc in zip(cases, docs[::2], docs[1::2]):
+        assert (ideal_doc["verdict"], order_doc["verdict"]) == (verdict, order)
+        assert ideal_doc["oracle_checked"] and order_doc["oracle_checked"]
+
+
 def test_invariant_failure_exits_4_under_optimize():
     # exactness checks are explicit, so they still run when -O strips asserts
     script = (

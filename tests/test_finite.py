@@ -76,13 +76,17 @@ def test_closure_matches_fixpoint_oracle():
                 return frozenset(elems)
             elems |= sums
 
-    for moduli in ((6,), (4, 2), (2, 3), (3, 3), (2, 2, 2)):
+    # arity up to 4, with axes of modulus 1 among the factors
+    rng = random.Random(70)
+    rings = ((6,), (1,), (4, 2), (2, 3), (3, 3), (1, 4), (2, 2, 2), (2, 1, 3))
+    for moduli in rings + ((2, 2, 2, 2), (1, 2, 1, 3), (3, 1, 2, 2), (2, 3, 2, 1)):
         ring = ProductRing(moduli)
         elems = list(ring.elements())
         for g1 in elems:
             for g2 in elems[:: max(1, len(elems) // 6)]:
-                gens = (g1, g2)[: ring.arity]
-                assert closure(ring, gens) == fixpoint(ring, gens)
+                more = tuple(rng.choice(elems) for _ in range(ring.arity - 2))
+                gens = ((g1, g2) + more)[: ring.arity]
+                assert closure(ring, gens) == fixpoint(ring, gens), (moduli, gens)
 
 
 def test_closure_is_a_subgroup():
