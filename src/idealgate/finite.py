@@ -155,6 +155,14 @@ def _members(bits: int, elements: Iterable[tuple[int, ...]]) -> frozenset[tuple[
     return frozenset(compress(elements, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
+def _strides(moduli: Sequence[int]) -> list[int]:
+    """Mixed-radix strides: x is the (sum(x_i * strides[i]))-th of ring.elements()."""
+    strides = [1] * len(moduli)
+    for i in range(len(moduli) - 2, -1, -1):
+        strides[i] = strides[i + 1] * moduli[i + 1]
+    return strides
+
+
 def _repunit(period: int, full: int) -> int:
     """full // ((1 << period) - 1), built by doubling shifts, not a long division."""
     bits = 1
@@ -177,11 +185,7 @@ class _TranslationEngine:
 
     def __init__(self, ring: ProductRing) -> None:
         self.moduli = ring.moduli
-        k = len(self.moduli)
-        strides = [1] * k
-        for i in range(k - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.moduli[i + 1]
-        self.strides = strides
+        self.strides = strides = _strides(self.moduli)
         self.full = full = (1 << ring.order) - 1
         # bit `start` set for every block start of the axis: a mask repeated
         # over all blocks is one multiplication by it

@@ -2,9 +2,10 @@
 
 import random
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 import pytest
 
+from idealgate import cli
 from idealgate.census import (
     GoursatTuple,
     SubgroupSet,
@@ -415,7 +416,28 @@ def test_census_cap():
 def test_subgroup_set_rejects_duplicates():
     census = enumerate_subgroups_bruteforce(ProductRing((2, 2)))
     with pytest.raises(ValueError):
-        SubgroupSet(census.ring, census.members + (census.members[0],))
+        SubgroupSet(
+            census.ring,
+            census.bitsets + (census.bitsets[0],),
+            census.generators + (census.generators[0],),
+        )
+    with pytest.raises(ValueError):
+        SubgroupSet(census.ring, census.bitsets, census.generators[:-1])
+
+
+def test_census_decodes_members_only_when_read(monkeypatch):
+    census = enumerate_subgroups_bruteforce(ProductRing((3, 9)))
+
+    def refuse(*args):
+        raise AssertionError("census decoded its members")
+
+    monkeypatch.setattr("idealgate.census._members", refuse)
+    assert len(census) == count_subgroups_closed(3, 1, 2)
+    assert census_ideal_count(census) == count_ideals_pp(1, 2)
+    assert cli.run(["census", "--p", "3", "--r", "2", "--s", "2", "--verify"]) == 0
+    monkeypatch.undo()
+    # decoded once, on first read
+    assert census.members is census.members
 
 
 def test_goursat_bijection_small():
@@ -463,6 +485,25 @@ def test_generator_oracle_equals_exhaustive_oracle():
         census = enumerate_subgroups_bruteforce(ring)
         for sub in census.members:
             assert is_ideal_bruteforce(sub) == is_ideal_exhaustive(sub), (moduli, sub.generators)
+
+
+def _divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def test_census_ideal_tally_reads_the_oracle_off_the_bits():
+    # the tally from bits against is_ideal_bruteforce on the decoded members,
+    # and against the ideal count prod(d(n_i)): ideals are products of ideals
+    rings = [(n, m) for n in range(1, 25) for m in range(1, 25)]
+    rings += [(a, b, c) for a in range(1, 9) for b in range(a, 9) for c in range(b, 9)]
+    rings += [(2, 2, 2, 2), (2, 2, 2, 4), (4, 2, 4, 2), (2, 2, 4, 4), (3, 3, 3, 2)]
+    assert len(rings) == 576 + 120 + 5
+    for moduli in rings:
+        census = enumerate_subgroups_bruteforce(ProductRing(moduli))
+        tally = census_ideal_count(census)
+        assert tally == sum(is_ideal_bruteforce(m) for m in census.members), moduli
+        assert tally == prod(_divisor_count(n) for n in moduli), moduli
+        assert len(census) == len(census.members), moduli
 
 
 def test_census_ideal_tally_matches_formula():
