@@ -7,21 +7,26 @@ every generator tuple up to the arity bound.  Counting formulas with exact
 integer division sit alongside both.
 
 The brute-force enumerator runs on the bitset engine of finite.py, the one
-closure() uses.  It extends each subgroup H once per cyclic subgroup of
-(H + G[exp H])/H, where G[e] = {x : e*x = 0}; its docstring shows from the
+closure() uses.  It enumerates each primary component G_p of the ring once
+and assembles the ring's subgroups as the direct sums of theirs: every
+subgroup is the direct sum of its intersections with the G_p.  Inside G_p it
+extends each subgroup H once per cyclic subgroup of (H + G[exp H])/H, where
+G[e] = {x : e*x = 0}; the docstring of _primary_subgroups shows from the
 invariant-factor form of the fundamental theorem of finite abelian groups
 that this reaches every subgroup, without any counting formula.  The census
-keeps each subgroup as its bitset: its size, the duplicate check and the ideal
-tally read the bits, and the element sets are decoded only on first use.
+keeps each subgroup as its bitset: its size, the duplicate check and the
+ideal tally read the bits, and the element sets are decoded only on first
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from itertools import zip_longest
+from math import isqrt, lcm
 
-from .exactarith import InvariantError, require_prime, valuation
+from .exactarith import InvariantError, factorize, require_prime, valuation
 from .finite import (
     EnumerationCapExceeded,
     FiniteSubgroup,
@@ -32,17 +37,23 @@ from .finite import (
 )
 
 # Max ring order for a brute-force census.  A census takes one closure per
-# pair (subgroup H, cyclic subgroup of (H + G[exp H])/H), with all of G for
-# H = 0, plus one G[e] mask per exponent e; a closure is a few doubling steps,
-# each a few shifts and masks of order-bit integers, so the cost follows the
-# subgroup count more than the order.  Where every subgroup has the ring's
-# exponent, as in Z_p^k, G[exp H] is the whole ring.  Census and ideal tally
-# leave the members as bitsets, so no element tuple is built.  On a shared
-# 2-core x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups) takes about
-# 0.12 s, Z_64 x Z_128 (494 subgroups) 0.05 s, Z_10000 0.003 s, and Z_2^6
-# (order 64, 2825 subgroups) 0.10 s.  Reading members then decodes them:
-# 0.14 s more for Z_96 x Z_96, 0.03 s for Z_2^6.
+# pair (subgroup H of a primary component G_p, cyclic subgroup of
+# (H + G[exp H])/H), with all of G_p for H = 0, plus one G[e] mask per
+# exponent e, and then one closure per subgroup outside the first component
+# to join the components; a closure is a few doubling steps, each a few
+# shifts and masks of order-bit integers, so the cost follows the subgroup
+# count more than the order.  Where every subgroup has the ring's exponent,
+# as in Z_p^k, G[exp H] is the whole ring.  Census and ideal tally leave the
+# members as bitsets, so no element tuple is built.  On a shared 2-core
+# x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups, 2-part Z_32 x Z_32
+# and 3-part Z_3 x Z_3) takes about 0.02 s, Z_64 x Z_128 (494 subgroups)
+# 0.02 s, Z_10000 0.001 s, and Z_2^6 (order 64, 2825 subgroups) 0.07 s.
+# Reading members then decodes them: 0.12 s more for Z_96 x Z_96, 0.05 s
+# for Z_2^6.
 DEFAULT_CENSUS_CAP = 10_000
+
+# byte b -> b with its eight bits in reverse order
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -241,27 +252,18 @@ def enumerate_subgroups_bruteforce(
 ) -> SubgroupSet:
     """Every subgroup of the ring: closures of all generator tuples up to the arity bound.
 
-    Layered construction: closing (g1..gj) equals extending the closure H of
-    (g1..g_{j-1}) by gj, and layer j extends the subgroups first found in
-    layer j - 1, which are those of rank j - 1.  A rank-j subgroup
-    <x_1> + ... + <x_j> in invariant-factor form (ord(x_j) | ... | ord(x_1))
-    is <H, x_j> with H = <x_1, ..., x_{j-1}> and exp(H) * x_j = 0, so H != 0
-    is extended only by the g of G[exp H] = {x : exp(H)*x = 0}, a bitset built
-    once per exponent; exp(<H, g>) is then exp(H), and |<g>| over H = 0.
-    Inside G[exp H], each H is extended once per cyclic subgroup of the
-    quotient, not once per element, by the divisor chain of <H, g>:
+    Primary decomposition: a subgroup K of a finite abelian group G is the
+    direct sum of its intersections K_p with the primary components
+    G_p = G[p^a] (p^a the full power of p in exp G), and each K_p is a
+    subgroup of G_p; conversely every choice of one subgroup per G_p sums to
+    a subgroup whose p-parts are the chosen ones.  So the subgroups of G are
+    the direct sums of the subgroups of its primary components, each sum
+    once.  The census enumerates each G_p by the layered construction of
+    _primary_subgroups and assembles the sums in _direct_sums; a ring whose
+    order is a prime power is one part and needs no assembly.  Every member
+    keeps at most arity generators: a part's rank-j subgroup has j, and a
+    sum's are the position-wise sums of its parts' (see _direct_sums).
 
-    - with k = |<H, g>/H|, every element j*g + h of <H, g> outside H generates
-      <H, gcd(j, k)*g> over H, so the subgroups between H and <H, g> that are
-      cyclic over H are the <H, d*g> for the divisors d of k;
-    - an element is cleared from the free set once its own <H, x> is
-      recorded, so <H, d*g> is closed only while the bit of d*g is still
-      free, and afterwards all of <H, g> outside H is cleared at once.
-
-    So every closure yields a subgroup not yet seen over H, and the result is
-    exactly the set of all tuple closures, found without any counting formula.
-    The divisors go largest first, so <H, d*g> is closed over the largest
-    <H, e*g> closed before it (d | e), whose quotient order e/d is known.
     The result holds the bitsets, sorted by (order, sorted elements), and
     decodes them into FiniteSubgroups only when members is read; bit order is
     the lexicographic order of ring.elements(), so a member's bitset,
@@ -272,14 +274,64 @@ def enumerate_subgroups_bruteforce(
             f"ring order {ring.order} exceeds the census cap {max_order}"
         )
     eng = _TranslationEngine(ring)
-    moduli, strides = ring.moduli, eng.strides
     elements = list(ring.elements())  # bit e <-> elements[e]
+    parts = [
+        _primary_subgroups(eng, elements, p**a) for p, a in factorize(lcm(*ring.moduli))
+    ]
+    generators = parts[0] if parts else {1: ()}  # the trivial ring: bit 0 alone
+    for part in parts[1:]:
+        generators = _direct_sums(eng, generators, part)
+    nbytes = (ring.order + 7) // 8
+
+    def key(bits: int) -> tuple[int, int]:
+        # bytes in reverse order, each byte mirrored: bit e moves to place
+        # 8*nbytes-1-e.  For two sets of one size, the first bit e where they
+        # differ is in the one with the smaller sorted element list
+        # (elements[e] against a larger element), whose value is larger
+        mirrored = bits.to_bytes(nbytes, "little").translate(_BIT_REVERSE)
+        return bits.bit_count(), -int.from_bytes(mirrored, "big")
+
+    bitsets = tuple(sorted(generators, key=key))
+    return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
+
+
+def _primary_subgroups(
+    eng: _TranslationEngine, elements: list[tuple[int, ...]], q: int
+) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Every subgroup of the primary component G[q] = {x : q*x = 0}, q = p^a,
+    as bitset -> generators, each subgroup after the one it extends.
+
+    Layered construction: closing (g1..gj) equals extending the closure H of
+    (g1..g_{j-1}) by gj, and layer j extends the subgroups first found in
+    layer j - 1, which are those of rank j - 1.  A rank-j subgroup
+    <x_1> + ... + <x_j> in invariant-factor form (ord(x_j) | ... | ord(x_1))
+    is <H, x_j> with H = <x_1, ..., x_{j-1}> and exp(H) * x_j = 0, so H != 0
+    is extended only by the g of G[exp H] = {x : exp(H)*x = 0}, a bitset built
+    once per exponent, and H = 0 by the g of G[q]; exp(<H, g>) is then
+    exp(H), and |<g>| over H = 0.  Inside G[exp H], each H is extended once
+    per cyclic subgroup of the quotient, not once per element, by the divisor
+    chain of <H, g>:
+
+    - with k = |<H, g>/H|, every element j*g + h of <H, g> outside H generates
+      <H, gcd(j, k)*g> over H, so the subgroups between H and <H, g> that are
+      cyclic over H are the <H, d*g> for the divisors d of k;
+    - an element is cleared from the free set once its own <H, x> is
+      recorded, so <H, d*g> is closed only while the bit of d*g is still
+      free, and afterwards all of <H, g> outside H is cleared at once.
+
+    So every closure yields a subgroup not yet seen over H, and the result is
+    exactly the set of all tuple closures in G[q], found without any counting
+    formula.  The divisors go largest first, so <H, d*g> is closed over the
+    largest <H, e*g> closed before it (d | e), whose quotient order e/d is
+    known.  A subgroup's generators are those of the H it extends, then g.
+    """
+    moduli, strides = eng.moduli, eng.strides
     divisor_lists: dict[int, list[int]] = {}
-    scans: dict[int, int] = {1: eng.full}  # by exp(H): G[exp(H)], but all of G for H = 0
+    scans: dict[int, int] = {1: eng.torsion(q)}  # by exp(H): G[exp(H)], but G[q] for H = 0
     trivial = 1  # bit 0 == the zero element
     generators: dict[int, tuple[tuple[int, ...], ...]] = {trivial: ()}
     frontier = [(trivial, 1)]  # (H, exp(H)) first found in the last layer
-    for _ in range(ring.arity):
+    for _ in moduli:
         next_frontier: list[tuple[int, int]] = []
         for h_bits, exp_h in frontier:
             gens_h = generators[h_bits]
@@ -317,16 +369,43 @@ def enumerate_subgroups_bruteforce(
         frontier = next_frontier
         if not frontier:
             break
-    order = ring.order
+    return generators
 
-    def key(bits: int) -> tuple[int, int]:
-        # bit e moved to place N-1-e: for two sets of one size, the first bit e
-        # where they differ is in the one with the smaller sorted element
-        # list (elements[e] against a larger element), whose value is larger
-        return bits.bit_count(), -int(bin(bits)[:1:-1].ljust(order, "0"), 2)
 
-    bitsets = tuple(sorted(generators, key=key))
-    return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
+def _direct_sums(
+    eng: _TranslationEngine,
+    left: dict[int, tuple[tuple[int, ...], ...]],
+    right: dict[int, tuple[tuple[int, ...], ...]],
+) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Every A + B for A of left and B of right, subgroups of coprime orders,
+    as bitset -> generators.
+
+    right is a part from _primary_subgroups: each B = <H, g> comes after H and
+    has H's generators followed by g, so A + B is A + H extended by g, with
+    the quotient order |B|/|H| known; that is one extend per A and nontrivial
+    B.  The generators of A + B are the position-wise sums a_i + b_i, the
+    shorter tuple padded with zeros: a_i and b_i have coprime orders, so
+    <a_i + b_i> = <a_i> + <b_i>, and the sums generate A + B.
+    """
+    moduli = eng.moduli
+    zero = (0,) * len(moduli)
+    size = {gens: bits.bit_count() for bits, gens in right.items()}
+    steps = [
+        (gens, gens[:-1], gens[-1], size[gens] // size[gens[:-1]])
+        for gens in right.values()
+        if gens
+    ]
+    sums: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for a_bits, a_gens in left.items():
+        over_a = {(): a_bits}  # A + B by the generators of B
+        sums[a_bits] = a_gens
+        for gens, parent, g, quotient in steps:
+            over_a[gens] = bits = eng.extend(over_a[parent], g, quotient)
+            sums[bits] = tuple(
+                tuple((x + y) % n for x, y, n in zip(a, b, moduli))
+                for a, b in zip_longest(a_gens, gens, fillvalue=zero)
+            )
+    return sums
 
 
 def is_ideal_bruteforce(subgroup: FiniteSubgroup) -> bool:

@@ -43,6 +43,7 @@ from idealgate.lattice import (
     member,
 )
 from idealgate.probability import prob_nm, prob_pp, prob_vector_space
+from closure_oracle import is_ideal_set, layered_tuple_closures
 from matrix_helpers import random_unimodular
 
 
@@ -229,6 +230,12 @@ def test_criterion_09_crt_multiplicativity():
             part2 = [h for h in sub.elements if ring.element_order(h) in (1, 2, 4)]
             part3 = [h for h in sub.elements if ring.element_order(h) in (1, 3, 9)]
             assert sub.elements == {ring.add(a, b) for a in part2 for b in part3}
+
+        # the census joins the 2- and 3-parts itself, so the above holds by
+        # construction; the tuple oracle closes every generator tuple of Z_6 x Z_6
+        expected, _ = layered_tuple_closures(ring)
+        assert census.element_sets() == expected
+        assert census_ideal_count(census) == sum(is_ideal_set(ring, h) for h in expected)
 
 
 def test_criterion_10_vector_space_case():

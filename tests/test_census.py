@@ -27,20 +27,7 @@ from idealgate.finite import (
     _TranslationEngine,
     closure,
 )
-
-
-def _tuple_closure(ring, generators):
-    """Additive closure by tuple arithmetic, one coset of H at a time: the
-    oracle for the bitset engine, which closure() and the census share."""
-    elems = {ring.zero()}
-    for g in generators:
-        g = ring.reduce(g)
-        # g + H, 2g + H, ... are new cosets until k*g + H is H again
-        coset = {ring.add(g, x) for x in elems}
-        while not coset <= elems:
-            elems |= coset
-            coset = {ring.add(g, x) for x in coset}
-    return frozenset(elems)
+from closure_oracle import is_ideal_set, layered_tuple_closures, tuple_closure
 
 
 # === classifying tuples ===
@@ -99,7 +86,7 @@ def test_tuple_subgroup_size_formula():
                     sub = tuple_to_subgroup(t)
                     assert len(sub.elements) == p ** (t.a1 + t.b2)
                     # the stored generators really generate the element set
-                    assert _tuple_closure(sub.ring, sub.generators) == sub.elements
+                    assert tuple_closure(sub.ring, sub.generators) == sub.elements
 
 
 def test_tuple_roundtrip():
@@ -201,8 +188,8 @@ def test_translation_engine_extend_is_closure():
         for _ in range(30):
             h_gens = [elems[rng.randrange(len(elems))] for _ in range(rng.randrange(2))]
             g = elems[rng.randrange(len(elems))]
-            h_bits = sum(1 << position[e] for e in _tuple_closure(ring, h_gens))
-            k_bits = sum(1 << position[e] for e in _tuple_closure(ring, h_gens + [g]))
+            h_bits = sum(1 << position[e] for e in tuple_closure(ring, h_gens))
+            k_bits = sum(1 << position[e] for e in tuple_closure(ring, h_gens + [g]))
             assert eng.extend(h_bits, g) == k_bits
             # with the quotient order given, the doubling stops as soon as it is reached
             quotient = k_bits.bit_count() // h_bits.bit_count()
@@ -218,7 +205,7 @@ def test_closure_and_materialize_match_tuple_closure():
         moduli = tuple(rng.randint(1, top) for _ in range(arity))
         ring = ProductRing(moduli)
         gens = [tuple(rng.randrange(n) for n in moduli) for _ in range(rng.randint(0, arity))]
-        expected = _tuple_closure(ring, gens)
+        expected = tuple_closure(ring, gens)
         assert closure(ring, gens) == expected, (moduli, gens)
         assert FiniteSubgroup(ring, gens).materialize().elements == expected, (moduli, gens)
 
@@ -268,50 +255,9 @@ def test_census_matches_naive_all_tuples_closure():
         naive = {frozenset({ring.zero()})}
         for size in range(1, ring.arity + 1):
             for gens in product(elems, repeat=size):
-                naive.add(_tuple_closure(ring, gens))
+                naive.add(tuple_closure(ring, gens))
         census = enumerate_subgroups_bruteforce(ring)
         assert census.element_sets() == naive
-
-
-def _exponent(ring, elements):
-    """The least e >= 1 with e*x = 0 for every x in elements."""
-    return lcm(*(n // gcd(x, n) for v in elements for x, n in zip(v, ring.moduli)))
-
-
-def _layered_tuple_closures(ring):
-    """All closures of generator tuples of size <= arity, one layer per tuple
-    size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj).
-
-    Also returns how many extensions the census may make: for every H of
-    the layers it extends, the number of distinct <H, g> with g outside H
-    and, unless H is trivial, exp(H)*g = 0 (one per nontrivial cyclic
-    subgroup of (H + G[exp H])/H).  The layers themselves extend H by every
-    g outside H.  Only the coset argument is used here: every g' in g + H
-    gives <H, g'> = <H, g>.
-    """
-    elems = list(ring.elements())
-    layer = {frozenset({ring.zero()})}
-    found = set(layer)
-    extensions = 0
-    for _ in range(ring.arity):
-        grown = set()
-        for h in layer:
-            e = _exponent(ring, h)
-            covered = set(h)
-            over_h = set()
-            torsion_over_h = set()
-            for g in elems:
-                if g not in covered:
-                    k = _tuple_closure(ring, list(h) + [g])
-                    over_h.add(k)
-                    if e == 1 or all(e * x % n == 0 for x, n in zip(g, ring.moduli)):
-                        torsion_over_h.add(k)
-                    covered.update(ring.add(g, x) for x in h)
-            extensions += len(torsion_over_h)
-            grown |= over_h
-        layer = grown - found
-        found |= layer
-    return found, extensions
 
 
 def _count_extensions(monkeypatch):
@@ -343,17 +289,44 @@ def _moduli_up_to(order, arity):
     return out
 
 
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _census_extensions(ring):
+    """How many extends the census makes: on each primary part, as many as
+    the layered oracle counts on the ring of the p-parts of the moduli (the
+    part is that ring, up to isomorphism); then, joining the parts in
+    ascending order of p, one per sum A of the parts so far and nontrivial
+    subgroup B of the next part."""
+    total = 0
+    sums = 0  # subgroups of the parts joined so far; none before the first
+    for p in _primes(lcm(*ring.moduli)):
+        # the p-part of n is gcd(n, p^k) for any p^k > n
+        part = ProductRing(tuple(gcd(n, p ** n.bit_length()) for n in ring.moduli))
+        found, extensions = layered_tuple_closures(part)
+        total += extensions + sums * (len(found) - 1)
+        sums = max(sums, 1) * len(found)
+    return total
+
+
 def _check_against_layered_closure(ring, calls):
     calls.clear()
     census = enumerate_subgroups_bruteforce(ring)
-    expected, extensions = _layered_tuple_closures(ring)
+    expected, _ = layered_tuple_closures(ring)
     assert census.element_sets() == expected, ring.moduli
     keys = [(len(sub.elements), sorted(sub.elements)) for sub in census.members]
     assert keys == sorted(keys), ring.moduli
-    # one closure per (H, cyclic subgroup of the quotient by H), none repeated
-    assert len(calls) == extensions, ring.moduli
+    # one closure per (H, cyclic subgroup of the quotient by H) in each
+    # primary part, none repeated, and one per direct sum of parts
+    assert len(calls) == _census_extensions(ring), ring.moduli
+    for bits, gens in zip(census.bitsets, census.generators):
+        assert len(gens) <= ring.arity, (ring.moduli, gens)
+        assert all(0 <= x < n for g in gens for x, n in zip(g, ring.moduli)), (ring.moduli, gens)
     for sub in census.members:
-        assert _tuple_closure(ring, sub.generators) == sub.elements, (ring.moduli, sub.generators)
+        assert tuple_closure(ring, sub.generators) == sub.elements, (ring.moduli, sub.generators)
+    ideals = sum(is_ideal_set(ring, h) for h in expected)
+    assert census_ideal_count(census) == ideals, ring.moduli
 
 
 def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
@@ -384,6 +357,14 @@ def test_census_arity_4_layers(monkeypatch):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
 
+def test_census_multi_prime_rings(monkeypatch):
+    # three and four primary parts, joined one after another; (6, 35) has
+    # no prime common to two axes, (30, 6) and (10, 12) split both axes
+    calls = _count_extensions(monkeypatch)
+    for moduli in ((6, 35), (30, 6), (10, 12), (2, 3, 5, 7)):
+        _check_against_layered_closure(ProductRing(moduli), calls)
+
+
 def test_census_cyclic_rings_up_to_720():
     # Z_n has one subgroup per divisor d of n: the multiples of n/d
     for n in range(1, 721):
@@ -397,7 +378,7 @@ def test_census_cyclic_rings_up_to_720():
 def test_census_members_are_closed_and_generated():
     census = enumerate_subgroups_bruteforce(ProductRing((4, 6)))
     for sub in census.members:
-        assert _tuple_closure(sub.ring, sub.generators) == sub.elements
+        assert tuple_closure(sub.ring, sub.generators) == sub.elements
 
 
 def test_census_deterministic_order():
@@ -461,6 +442,12 @@ def test_coprime_moduli_subgroups_split_as_products():
             proj1 = {x for x, _ in sub.elements}
             proj2 = {y for _, y in sub.elements}
             assert sub.elements == frozenset((x, y) for x in proj1 for y in proj2)
+        # the census enumerates each primary part and joins them, so the split
+        # holds by construction; the tuple oracle knows nothing of parts
+        expected, _ = layered_tuple_closures(census.ring)
+        assert census.element_sets() == expected, (n, m)
+        ideals = sum(is_ideal_set(census.ring, h) for h in expected)
+        assert census_ideal_count(census) == ideals, (n, m)
 
 
 # === the brute-force ideal oracle ===
