@@ -9,12 +9,13 @@ integer division sit alongside both.
 The brute-force enumerator runs on the bitset engine of finite.py, the one
 closure() uses.  It enumerates each primary component G_p of the ring once
 and assembles the ring's subgroups as the direct sums of theirs: every
-subgroup is the direct sum of its intersections with the G_p.  Inside G_p it
-extends each subgroup H once per cyclic subgroup of (H + G[exp H])/H, where
-G[e] = {x : e*x = 0}; the docstring of _primary_subgroups shows from the
-invariant-factor form of the fundamental theorem of finite abelian groups
-that this reaches every subgroup, without any counting formula.  The census
-keeps each subgroup as its bitset: its size, the duplicate check and the
+subgroup is the direct sum of its intersections with the G_p.  Inside G_p
+every subgroup K != 0 has one first-axis parent P, its elements that are zero
+up to and including K's first nonzero axis j, and K = <P, g> for one coset
+g + P with g zero before axis j; the docstring of _primary_subgroups shows
+that (P, g + P) determines K and that every such pair gives a subgroup, so
+each subgroup is closed exactly once, from its parent, without any counting
+formula.  The census keeps each subgroup as its bitset: its size and the
 ideal tally read the bits, and the element sets are decoded only on first
 use.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
-from math import isqrt, lcm
+from math import gcd, lcm
 
 from .exactarith import InvariantError, factorize, require_prime, valuation
 from .finite import (
@@ -37,19 +38,17 @@ from .finite import (
 )
 
 # Max ring order for a brute-force census.  A census takes one closure per
-# pair (subgroup H of a primary component G_p, cyclic subgroup of
-# (H + G[exp H])/H), with all of G_p for H = 0, plus one G[e] mask per
-# exponent e, and then one closure per subgroup outside the first component
-# to join the components; a closure is a few doubling steps, each a few
-# shifts and masks of order-bit integers, so the cost follows the subgroup
-# count more than the order.  Where every subgroup has the ring's exponent,
-# as in Z_p^k, G[exp H] is the whole ring.  Census and ideal tally leave the
-# members as bitsets, so no element tuple is built.  On a shared 2-core
-# x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups, 2-part Z_32 x Z_32
-# and 3-part Z_3 x Z_3) takes about 0.02 s, Z_64 x Z_128 (494 subgroups)
-# 0.02 s, Z_10000 0.001 s, and Z_2^6 (order 64, 2825 subgroups) 0.07 s.
-# Reading members then decodes them: 0.12 s more for Z_96 x Z_96, 0.05 s
-# for Z_2^6.
+# subgroup but the trivial one: inside a primary component G_p from its
+# first-axis parent, found by scanning the parent's cosets in a G[e] mask
+# (one mask per e), and then one per sum of nontrivial subgroups of two
+# components; a closure is a few doubling steps, each a few shifts and masks
+# of order-bit integers, so the cost follows the subgroup count more than the
+# order.  Census and ideal tally leave the members as bitsets, so no element
+# tuple is built.  On a shared 2-core x86-64 host: Z_96 x Z_96 (order 9216,
+# 1062 subgroups, 2-part Z_32 x Z_32 and 3-part Z_3 x Z_3) takes about
+# 0.02-0.03 s, Z_64 x Z_128 (494 subgroups) 0.01-0.02 s, Z_10000 0.003 s, and
+# Z_2^6 (order 64, 2825 subgroups) 0.02 s.  Reading members then decodes
+# them: 0.13 s more for Z_96 x Z_96, 0.02-0.03 s for Z_2^6.
 DEFAULT_CENSUS_CAP = 10_000
 
 # byte b -> b with its eight bits in reverse order
@@ -241,12 +240,6 @@ class SubgroupSet:
         return {m.elements for m in self.members}
 
 
-def _proper_divisors(k: int) -> list[int]:
-    """The divisors d of k with 1 < d < k, largest first."""
-    low = [d for d in range(2, isqrt(k) + 1) if k % d == 0]
-    return [k // d for d in low] + [d for d in reversed(low) if d * d != k]
-
-
 def enumerate_subgroups_bruteforce(
     ring: ProductRing, max_order: int = DEFAULT_CENSUS_CAP
 ) -> SubgroupSet:
@@ -258,11 +251,12 @@ def enumerate_subgroups_bruteforce(
     subgroup of G_p; conversely every choice of one subgroup per G_p sums to
     a subgroup whose p-parts are the chosen ones.  So the subgroups of G are
     the direct sums of the subgroups of its primary components, each sum
-    once.  The census enumerates each G_p by the layered construction of
+    once.  The census enumerates each G_p by the first-axis parents of
     _primary_subgroups and assembles the sums in _direct_sums; a ring whose
     order is a prime power is one part and needs no assembly.  Every member
-    keeps at most arity generators: a part's rank-j subgroup has j, and a
-    sum's are the position-wise sums of its parts' (see _direct_sums).
+    keeps at most arity generators: a part's subgroup has at most one per
+    axis, and a sum's are the position-wise sums of its parts' (see
+    _direct_sums).  Every member but the trivial one costs one extend.
 
     The result holds the bitsets, sorted by (order, sorted elements), and
     decodes them into FiniteSubgroups only when members is read; bit order is
@@ -276,7 +270,7 @@ def enumerate_subgroups_bruteforce(
     eng = _TranslationEngine(ring)
     elements = list(ring.elements())  # bit e <-> elements[e]
     parts = [
-        _primary_subgroups(eng, elements, p**a) for p, a in factorize(lcm(*ring.moduli))
+        _primary_subgroups(eng, elements, p, p**a) for p, a in factorize(lcm(*ring.moduli))
     ]
     generators = parts[0] if parts else {1: ()}  # the trivial ring: bit 0 alone
     for part in parts[1:]:
@@ -296,79 +290,72 @@ def enumerate_subgroups_bruteforce(
 
 
 def _primary_subgroups(
-    eng: _TranslationEngine, elements: list[tuple[int, ...]], q: int
+    eng: _TranslationEngine, elements: list[tuple[int, ...]], p: int, q: int
 ) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Every subgroup of the primary component G[q] = {x : q*x = 0}, q = p^a,
-    as bitset -> generators, each subgroup after the one it extends.
+    as bitset -> generators, each subgroup after its first-axis parent.
 
-    Layered construction: closing (g1..gj) equals extending the closure H of
-    (g1..g_{j-1}) by gj, and layer j extends the subgroups first found in
-    layer j - 1, which are those of rank j - 1.  A rank-j subgroup
-    <x_1> + ... + <x_j> in invariant-factor form (ord(x_j) | ... | ord(x_1))
-    is <H, x_j> with H = <x_1, ..., x_{j-1}> and exp(H) * x_j = 0, so H != 0
-    is extended only by the g of G[exp H] = {x : exp(H)*x = 0}, a bitset built
-    once per exponent, and H = 0 by the g of G[q]; exp(<H, g>) is then
-    exp(H), and |<g>| over H = 0.  Inside G[exp H], each H is extended once
-    per cyclic subgroup of the quotient, not once per element, by the divisor
-    chain of <H, g>:
+    First-axis parents: for a subgroup K != 0 of G[q], let j be the first
+    axis on which K has a nonzero coordinate, G_{>j} the elements whose
+    coordinates up to and including axis j are zero, and P = K & G_{>j}, its
+    parent.  The projection of K onto axis j is <d> for a d | n_j with
+    0 < d < n_j and q*d = 0 mod n_j, so t = n_j/d is a power of p dividing
+    gcd(q, n_j); K holds some g = (0, ..., 0, d, c) with c in G_{>j}, and:
 
-    - with k = |<H, g>/H|, every element j*g + h of <H, g> outside H generates
-      <H, gcd(j, k)*g> over H, so the subgroups between H and <H, g> that are
-      cyclic over H are the <H, d*g> for the divisors d of k;
-    - an element is cleared from the free set once its own <H, x> is
-      recorded, so <H, d*g> is closed only while the bit of d*g is still
-      free, and afterwards all of <H, g> outside H is cleared at once.
+    - K = <P, g>: an element of K with axis-j coordinate s*d, minus s*g,
+      lies in K & G_{>j} = P;
+    - c is unique modulo P, since two such g differ by an element of P;
+    - t*c is in P, since t*g = (0, ..., 0, 0, t*c) lies in K & G_{>j};
+    - conversely, for any subgroup P of G_{>j} & G[q], any such d and any
+      c in G_{>j} with t*c in P, K = <P, g> meets G_{>j} in P (s*g + P
+      leaves G_{>j} unless t | s, and then s*g is in P), projects onto <d>
+      and has |K/P| = t.
 
-    So every closure yields a subgroup not yet seen over H, and the result is
-    exactly the set of all tuple closures in G[q], found without any counting
-    formula.  The divisors go largest first, so <H, d*g> is closed over the
-    largest <H, e*g> closed before it (d | e), whose quotient order e/d is
-    known.  A subgroup's generators are those of the H it extends, then g.
+    So the subgroups of G[q] are exactly the <P, g> over the triples
+    (P, d, c + P), each found once and closed by one extend with its
+    quotient order t known, without any counting formula.  t*c in P needs
+    t*exp(P)*c = 0, so the scan for c runs over the cosets of P in
+    G[t*exp(P)] & G_{>j}, one translate and one bit test per coset.  The
+    axes go from last to first, so the P for axis j are the subgroups found
+    before it, and a subgroup's generators are its parent's, then g: at
+    most one per axis.
     """
     moduli, strides = eng.moduli, eng.strides
-    divisor_lists: dict[int, list[int]] = {}
-    scans: dict[int, int] = {1: eng.torsion(q)}  # by exp(H): G[exp(H)], but G[q] for H = 0
+    scans: dict[int, int] = {}  # G[e] by e
     trivial = 1  # bit 0 == the zero element
     generators: dict[int, tuple[tuple[int, ...], ...]] = {trivial: ()}
-    frontier = [(trivial, 1)]  # (H, exp(H)) first found in the last layer
-    for _ in moduli:
-        next_frontier: list[tuple[int, int]] = []
-        for h_bits, exp_h in frontier:
-            gens_h = generators[h_bits]
-            h_size = h_bits.bit_count()
-            scan = scans.get(exp_h)
-            if scan is None:
-                scan = scans[exp_h] = eng.torsion(exp_h)
-            free = scan & ~h_bits
-            while free:
-                g = elements[(free & -free).bit_length() - 1]
-                k_bits = eng.extend(h_bits, g)
-                found = [(k_bits, g)]
-                k = k_bits.bit_count() // h_size
-                ds = divisor_lists.get(k)
-                if ds is None:
-                    ds = divisor_lists[k] = _proper_divisors(k)
-                if ds:
-                    axes = list(zip(g, moduli, strides))
-                    chain = {k: h_bits}  # <H, d*g> by d, smallest first; <H, k*g> = H
-                    for d in ds:
-                        index = sum([d * x % n * s for x, n, s in axes])
-                        if free >> index & 1:
-                            # close <H, d*g> over the largest <H, e*g> below it
-                            e = min(e for e in chain if e % d == 0)
-                            dg = elements[index]
-                            chain[d] = bits = eng.extend(chain[e], dg, e // d)
-                            found.append((bits, dg))
-                free &= ~k_bits
-                for bits, gen in found:
-                    if bits not in generators:
-                        generators[bits] = gens_h + (gen,)
-                        # exp(<H, g>) = lcm(exp(H), ord(g)): exp(H) when H != 0,
-                        # since exp(H)*g = 0, and |<g>| when H = 0
-                        next_frontier.append((bits, exp_h if exp_h > 1 else bits.bit_count()))
-        frontier = next_frontier
-        if not frontier:
-            break
+    exponents = {trivial: 1}
+    for j in reversed(range(len(moduli))):
+        n, stride = moduli[j], strides[j]
+        m = gcd(q, n)
+        if m == 1:
+            continue
+        tail = list(zip(moduli, strides))[j + 1 :]
+        low = (1 << stride) - 1  # G_{>j}
+        for parent, parent_gens in list(generators.items()):
+            exp_parent = exponents[parent]
+            t = p
+            while m % t == 0:
+                e = t * exp_parent
+                scan = scans.get(e)
+                if scan is None:
+                    scan = scans[e] = eng.torsion(e)
+                free = scan & low
+                d_index = n // t * stride
+                while free:
+                    c_index = (free & -free).bit_length() - 1
+                    c = elements[c_index]
+                    free &= ~eng.translate(parent, c)
+                    tc_index = sum([t * x % n_i * s for x, (n_i, s) in zip(c[j + 1 :], tail)])
+                    if parent >> tc_index & 1:
+                        g = elements[d_index + c_index]
+                        k_bits = eng.extend(parent, g, t)
+                        generators[k_bits] = parent_gens + (g,)
+                        # exp(K) = max(exp(P), |<g>|), all powers of p
+                        exponents[k_bits] = max(
+                            exp_parent, *[n_i // gcd(x, n_i) for x, n_i in zip(g, moduli)]
+                        )
+                t *= p
     return generators
 
 
@@ -382,10 +369,11 @@ def _direct_sums(
 
     right is a part from _primary_subgroups: each B = <H, g> comes after H and
     has H's generators followed by g, so A + B is A + H extended by g, with
-    the quotient order |B|/|H| known; that is one extend per A and nontrivial
-    B.  The generators of A + B are the position-wise sums a_i + b_i, the
-    shorter tuple padded with zeros: a_i and b_i have coprime orders, so
-    <a_i + b_i> = <a_i> + <b_i>, and the sums generate A + B.
+    the quotient order |B|/|H| known; that is one extend per A != 0 and
+    nontrivial B.  0 + B is B, already closed in its part, and keeps B's
+    bits and generators.  The generators of A + B are the position-wise sums
+    a_i + b_i, the shorter tuple padded with zeros: a_i and b_i have coprime
+    orders, so <a_i + b_i> = <a_i> + <b_i>, and the sums generate A + B.
     """
     moduli = eng.moduli
     zero = (0,) * len(moduli)
@@ -397,6 +385,9 @@ def _direct_sums(
     ]
     sums: dict[int, tuple[tuple[int, ...], ...]] = {}
     for a_bits, a_gens in left.items():
+        if a_bits == 1:  # A = 0
+            sums.update(right)
+            continue
         over_a = {(): a_bits}  # A + B by the generators of B
         sums[a_bits] = a_gens
         for gens, parent, g, quotient in steps:

@@ -231,10 +231,10 @@ class _TranslationEngine:
         S_1 = H and S_2c = S_c | (c*g + S_c), the union of the cosets j*g + H
         for j < 2c.  While c < |<H, g>/H| the coset c*g + H is new, so S_2c
         grows; once S_2c == S_c, S_c is all of <H, g>.  closure() extends {0}
-        by each generator.  The census knows the quotient order q = |<H, g>/H|
-        along its divisor chains and passes it, and the doubling stops after
-        the ceil(log2(q)) steps that reach it, without the step that only
-        confirms it.  The translation by c*g is translate() inlined.
+        by each generator.  The census knows the quotient order
+        q = |<H, g>/H| of every subgroup it closes and passes it, and the
+        doubling stops after the ceil(log2(q)) steps that reach it, without the
+        step that only confirms it.  The translation by c*g is translate() inlined.
         """
         tables = self._rotations
         axes = [(axis, x, n, tables[axis]) for axis, (x, n) in enumerate(zip(g, self.moduli)) if x]

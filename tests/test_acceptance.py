@@ -233,7 +233,7 @@ def test_criterion_09_crt_multiplicativity():
 
         # the census joins the 2- and 3-parts itself, so the above holds by
         # construction; the tuple oracle closes every generator tuple of Z_6 x Z_6
-        expected, _ = layered_tuple_closures(ring)
+        expected = layered_tuple_closures(ring)
         assert census.element_sets() == expected
         assert census_ideal_count(census) == sum(is_ideal_set(ring, h) for h in expected)
 

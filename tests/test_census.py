@@ -2,7 +2,7 @@
 
 import random
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 import pytest
 
 from idealgate import cli
@@ -289,37 +289,16 @@ def _moduli_up_to(order, arity):
     return out
 
 
-def _primes(n):
-    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
-
-
-def _census_extensions(ring):
-    """How many extends the census makes: on each primary part, as many as
-    the layered oracle counts on the ring of the p-parts of the moduli (the
-    part is that ring, up to isomorphism); then, joining the parts in
-    ascending order of p, one per sum A of the parts so far and nontrivial
-    subgroup B of the next part."""
-    total = 0
-    sums = 0  # subgroups of the parts joined so far; none before the first
-    for p in _primes(lcm(*ring.moduli)):
-        # the p-part of n is gcd(n, p^k) for any p^k > n
-        part = ProductRing(tuple(gcd(n, p ** n.bit_length()) for n in ring.moduli))
-        found, extensions = layered_tuple_closures(part)
-        total += extensions + sums * (len(found) - 1)
-        sums = max(sums, 1) * len(found)
-    return total
-
-
 def _check_against_layered_closure(ring, calls):
     calls.clear()
     census = enumerate_subgroups_bruteforce(ring)
-    expected, _ = layered_tuple_closures(ring)
+    expected = layered_tuple_closures(ring)
     assert census.element_sets() == expected, ring.moduli
     keys = [(len(sub.elements), sorted(sub.elements)) for sub in census.members]
     assert keys == sorted(keys), ring.moduli
-    # one closure per (H, cyclic subgroup of the quotient by H) in each
-    # primary part, none repeated, and one per direct sum of parts
-    assert len(calls) == _census_extensions(ring), ring.moduli
+    # one closure per nontrivial member: in each primary part from its
+    # first-axis parent, in the assembly once per sum A + B with A, B != 0
+    assert len(calls) == len(census) - 1, ring.moduli
     for bits, gens in zip(census.bitsets, census.generators):
         assert len(gens) <= ring.arity, (ring.moduli, gens)
         assert all(0 <= x < n for g in gens for x, n in zip(g, ring.moduli)), (ring.moduli, gens)
@@ -342,16 +321,16 @@ def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
 
 
 def test_census_composite_quotient_orders(monkeypatch):
-    # quotients of order 36, 18, 12, 6, ...: divisor chains with two primes
-    # and proper divisors that are neither prime nor prime powers
+    # every axis splits into a 2-part and a 3-part: quotients of order 2, 4,
+    # 3 and 9 over first-axis parents, then sums of members of both parts
     calls = _count_extensions(monkeypatch)
     for moduli in ((12, 36), (6, 6, 6)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
 
 def test_census_arity_4_layers(monkeypatch):
-    # four layers, and subgroups of rank 2 and 3 whose exponent is below the
-    # ring's, so that G[exp H] is a proper subgroup
+    # four axes, and parents whose exponent is below the ring's, so that the
+    # scan mask G[t*exp(P)] is a proper subgroup
     calls = _count_extensions(monkeypatch)
     for moduli in ((2, 2, 2, 2), (2, 2, 2, 4), (4, 2, 4, 2), (2, 2, 4, 4), (3, 3, 3, 2)):
         _check_against_layered_closure(ProductRing(moduli), calls)
@@ -362,6 +341,22 @@ def test_census_multi_prime_rings(monkeypatch):
     # no prime common to two axes, (30, 6) and (10, 12) split both axes
     calls = _count_extensions(monkeypatch)
     for moduli in ((6, 35), (30, 6), (10, 12), (2, 3, 5, 7)):
+        _check_against_layered_closure(ProductRing(moduli), calls)
+
+
+def test_census_first_axis_parents(monkeypatch):
+    # up to five axes, with moduli rising and falling along them: a member's
+    # first nonzero axis is then sometimes the ring's largest factor and
+    # sometimes its smallest, and the parent lives in the tail after it
+    calls = _count_extensions(monkeypatch)
+    for moduli in ((2, 2, 2, 2, 2), (4, 4, 4), (2, 4, 8), (8, 4, 2), (3, 9, 27), (3, 9), (9, 3)):
+        _check_against_layered_closure(ProductRing(moduli), calls)
+
+
+def test_census_axes_of_modulus_one(monkeypatch):
+    # an axis of Z_1 carries no coordinate: it is never a first nonzero axis
+    calls = _count_extensions(monkeypatch)
+    for moduli in ((1, 4), (4, 1, 2), (1, 9, 1)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
 
@@ -444,7 +439,7 @@ def test_coprime_moduli_subgroups_split_as_products():
             assert sub.elements == frozenset((x, y) for x in proj1 for y in proj2)
         # the census enumerates each primary part and joins them, so the split
         # holds by construction; the tuple oracle knows nothing of parts
-        expected, _ = layered_tuple_closures(census.ring)
+        expected = layered_tuple_closures(census.ring)
         assert census.element_sets() == expected, (n, m)
         ideals = sum(is_ideal_set(census.ring, h) for h in expected)
         assert census_ideal_count(census) == ideals, (n, m)
