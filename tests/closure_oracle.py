@@ -18,22 +18,23 @@ def tuple_closure(ring, generators):
 
 def layered_tuple_closures(ring):
     """All closures of generator tuples of size <= arity, one layer per tuple
-    size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj).  Only
+    size: closing (g1..gj) equals closing (closure(g1..g_{j-1}), gj), so each
+    closure of the last layer is kept with one tuple that generates it.  Only
     the coset argument is used: every g' in g + H gives <H, g'> = <H, g>.
     """
     elems = list(ring.elements())
-    layer = {frozenset({ring.zero()})}
+    layer = {frozenset({ring.zero()}): ()}  # closure -> a generator tuple
     found = set(layer)
     for _ in range(ring.arity):
-        grown = set()
-        for h in layer:
+        grown = {}
+        for h, gens in layer.items():
             covered = set(h)
             for g in elems:
                 if g not in covered:
-                    grown.add(tuple_closure(ring, list(h) + [g]))
+                    grown.setdefault(tuple_closure(ring, gens + (g,)), gens + (g,))
                     covered.update(ring.add(g, x) for x in h)
-        layer = grown - found
-        found |= layer
+        layer = {k: gens for k, gens in grown.items() if k not in found}
+        found.update(layer)
     return found
 
 
