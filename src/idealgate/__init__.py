@@ -1,9 +1,11 @@
-"""Exact ideal tests, subgroup censuses, and ideal probabilities for Z^d and finite product rings."""
+"""Exact ideal tests, subgroup censuses, and ideal probabilities for Z^d and finite product rings.
+
+The paper's special criteria are theorems in idealgate.paper, not imported here.
+"""
 
 from .exactarith import (
     InvariantError,
     additive_order,
-    divisor_count,
     divisors,
     factorize,
     gaussian_binomial,
@@ -19,11 +21,8 @@ from .lattice import (
     canonical_basis,
     determinant,
     fullrank_is_ideal,
-    is_ideal_2x2,
     is_ideal_zd,
     member,
-    rank1_is_ideal,
-    witness_2x2,
 )
 from .finite import (
     DEFAULT_MATERIALIZE_CAP,
@@ -32,27 +31,20 @@ from .finite import (
     KernelLattice,
     ProductRing,
     closure,
-    cyclic_is_ideal,
     general_is_ideal,
     kernel_lattice,
-    kernel_sum_order_mod_lcm,
-    subgroup_order_two_gen,
     twogen_is_ideal,
 )
 from .census import (
     DEFAULT_CENSUS_CAP,
-    GoursatTuple,
     SubgroupSet,
     census_ideal_count,
     count_ideals_pp,
     count_subgroups_closed,
     count_subgroups_sum,
-    enumerate_goursat_tuples,
     enumerate_subgroups_bruteforce,
     is_ideal_bruteforce,
     is_ideal_exhaustive,
-    tuple_from_subgroup,
-    tuple_to_subgroup,
 )
 from .probability import (
     ProbabilityReport,
@@ -69,7 +61,6 @@ __all__ = [
     "DEFAULT_MATERIALIZE_CAP",
     "EnumerationCapExceeded",
     "FiniteSubgroup",
-    "GoursatTuple",
     "IdealWitness",
     "IntMatrix",
     "InvariantError",
@@ -88,32 +79,22 @@ __all__ = [
     "count_subgroups_closed",
     "count_subgroups_sum",
     "count_subspaces",
-    "cyclic_is_ideal",
     "determinant",
-    "divisor_count",
     "divisors",
-    "enumerate_goursat_tuples",
     "enumerate_subgroups_bruteforce",
     "factorize",
     "fullrank_is_ideal",
     "gaussian_binomial",
     "general_is_ideal",
-    "is_ideal_2x2",
     "is_ideal_bruteforce",
     "is_ideal_exhaustive",
     "is_ideal_zd",
     "is_prime",
     "kernel_lattice",
-    "kernel_sum_order_mod_lcm",
     "member",
     "prob_nm",
     "prob_pp",
     "prob_vector_space",
-    "rank1_is_ideal",
-    "subgroup_order_two_gen",
-    "tuple_from_subgroup",
-    "tuple_to_subgroup",
     "twogen_is_ideal",
-    "witness_2x2",
     "xgcd",
 ]

@@ -1,15 +1,12 @@
-"""Subgroup census machinery for finite product rings.
+"""Subgroup census for finite product rings: the brute-force enumerator, the
+ideal oracles, and the subgroup and ideal counting formulas of Z_{p^r} x Z_{p^s}
+(exact integer division).  The paper's Goursat 5-tuple enumeration of those
+subgroups is a theorem in paper.py; tests check it against this census.
 
-Two independent routes to the same answer: a structured enumeration of
-subgroups of Z_{p^r} x Z_{p^s} through 5-tuple data (subgroup pair, normal
-subgroup pair, quotient isomorphism), and a brute-force enumerator that closes
-every generator tuple up to the arity bound.  Counting formulas with exact
-integer division sit alongside both.
-
-The brute-force enumerator runs on the bitset engine of finite.py, the one
-closure() uses.  It enumerates each primary component G_p of the ring once
-and assembles the ring's subgroups as the direct sums of theirs: every
-subgroup is the direct sum of its intersections with the G_p.  Inside G_p
+The enumerator runs on the bitset engine of finite.py, the one closure()
+uses.  It enumerates each primary component G_p of the ring once and
+assembles the ring's subgroups as the direct sums of theirs: every subgroup
+is the direct sum of its intersections with the G_p.  Inside G_p
 every subgroup K != 0 has one first-axis parent P, its elements that are zero
 up to and including K's first nonzero axis j, and K = <P, g> for one coset
 g + P with g zero before axis j; the docstring of _primary_subgroups shows
@@ -27,7 +24,7 @@ from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .exactarith import InvariantError, factorize, require_prime, valuation
+from .exactarith import InvariantError, factorize, require_prime
 from .finite import (
     EnumerationCapExceeded,
     FiniteSubgroup,
@@ -53,123 +50,6 @@ DEFAULT_CENSUS_CAP = 10_000
 
 # byte b -> b with its eight bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-@dataclass(frozen=True)
-class GoursatTuple:
-    """Classifying datum of a subgroup of Z_{p^r} x Z_{p^s}.
-
-    Subgroups of each cyclic factor form a chain, so the pairs are encoded by
-    size exponents: |A1| = p^a1 with A1 = <p^(r-a1)>, and B1 inside A1 with
-    |B1| = p^b1; same for (a2, b2) in the second factor.  The quotient
-    isomorphism A1/B1 -> A2/B2 is the unit multiplier `unit` applied to the
-    canonical generator cosets; both quotients have order p^(a1-b1).
-    """
-
-    p: int
-    r: int
-    s: int
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-    unit: int
-
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        if self.r < 0 or self.s < 0:
-            raise ValueError("exponents must be nonnegative")
-        if not 0 <= self.b1 <= self.a1 <= self.r:
-            raise ValueError("need 0 <= b1 <= a1 <= r")
-        if not 0 <= self.b2 <= self.a2 <= self.s:
-            raise ValueError("need 0 <= b2 <= a2 <= s")
-        t = self.a1 - self.b1
-        if t != self.a2 - self.b2:
-            raise ValueError("quotients must have equal order")
-        if t == 0:
-            if self.unit != 1:
-                raise ValueError("trivial quotient admits only the trivial map")
-        elif not (1 <= self.unit < self.p**t and self.unit % self.p):
-            raise ValueError("unit must be coprime to p and reduced mod p^(a1-b1)")
-
-    @property
-    def quotient_exponent(self) -> int:
-        return self.a1 - self.b1
-
-
-def enumerate_goursat_tuples(p: int, r: int, s: int) -> list[GoursatTuple]:
-    """All classifying tuples for Z_{p^r} x Z_{p^s}, pairwise distinct.
-
-    For quotient order p^t there are (r-t+1)(s-t+1) placements and, for t >= 1,
-    p^t - p^(t-1) unit choices; the list length therefore matches
-    count_subgroups_sum(p, r, s).
-    """
-    require_prime(p)
-    if r < 0 or s < 0:
-        raise ValueError("exponents must be nonnegative")
-    out: list[GoursatTuple] = []
-    for t in range(min(r, s) + 1):
-        units = [1] if t == 0 else [u for u in range(1, p**t) if u % p]
-        for a1 in range(t, r + 1):
-            for a2 in range(t, s + 1):
-                for u in units:
-                    out.append(GoursatTuple(p, r, s, a1, a1 - t, a2, a2 - t, u))
-    return out
-
-
-def tuple_to_subgroup(t: GoursatTuple) -> FiniteSubgroup:
-    """Materialize the subgroup classified by t inside Z_{p^r} x Z_{p^s}.
-
-    Elements are the pairs (x, y) with x in A1, y in A2 and the quotient map
-    matching x's coset to y's; the size is |A1| * |B2| exactly.
-    """
-    p = t.p
-    n, m = p**t.r, p**t.s
-    ring = ProductRing((n, m))
-    gen1 = p ** (t.r - t.a1) % n
-    gen2 = p ** (t.s - t.a2) % m
-    step2 = p ** (t.s - t.b2) % m
-    elements = frozenset(
-        ((i * gen1) % n, (i * t.unit * gen2 + j * step2) % m)
-        for i in range(p**t.a1)
-        for j in range(p**t.b2)
-    )
-    if len(elements) != p ** (t.a1 + t.b2):
-        raise InvariantError(f"{t} materializes {len(elements)} elements, not |A1|*|B2|")
-    return FiniteSubgroup(ring, ((gen1, (t.unit * gen2) % m), (0, step2)), elements)
-
-
-def tuple_from_subgroup(subgroup: FiniteSubgroup, p: int) -> GoursatTuple:
-    """Recover the classifying tuple from a materialized subgroup of Z_{p^r} x Z_{p^s}."""
-    require_prime(p)
-    if subgroup.elements is None:
-        raise ValueError("materialized subgroup required")
-    if subgroup.ring.arity != 2:
-        raise ValueError("classifying tuples exist for two factors only")
-    n, m = subgroup.ring.moduli
-    r, s = valuation(n, p) if n > 1 else 0, valuation(m, p) if m > 1 else 0
-    if p**r != n or p**s != m:
-        raise ValueError(f"moduli {subgroup.ring.moduli} are not powers of {p}")
-    elems = subgroup.elements
-    a1 = _size_exponent(len({x for x, _ in elems}), p)
-    a2 = _size_exponent(len({y for _, y in elems}), p)
-    b1 = _size_exponent(len({x for x, y in elems if y == 0}), p)
-    b2 = _size_exponent(len({y for x, y in elems if x == 0}), p)
-    t = a1 - b1
-    if t == 0:
-        unit = 1
-    else:
-        gen1 = p ** (r - a1)
-        y0 = next(y for x, y in elems if x == gen1)
-        unit = (y0 // p ** (s - a2)) % p**t
-    return GoursatTuple(p, r, s, a1, b1, a2, b2, unit)
-
-
-def _size_exponent(size: int, p: int) -> int:
-    e = valuation(size, p) if size > 1 else 0
-    if p**e != size:
-        raise ValueError(f"{size} is not a power of {p}")
-    return e
 
 
 def count_subgroups_closed(p: int, r: int, s: int) -> int:
@@ -243,7 +123,7 @@ class SubgroupSet:
 def enumerate_subgroups_bruteforce(
     ring: ProductRing, max_order: int = DEFAULT_CENSUS_CAP
 ) -> SubgroupSet:
-    """Every subgroup of the ring: closures of all generator tuples up to the arity bound.
+    """Every subgroup of the ring, each closed once on the bitset engine.
 
     Primary decomposition: a subgroup K of a finite abelian group G is the
     direct sum of its intersections K_p with the primary components

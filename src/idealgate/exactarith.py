@@ -121,14 +121,6 @@ def require_prime(p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-def divisor_count(n: int) -> int:
-    """Number of positive divisors of n >= 1."""
-    count = 1
-    for _, e in factorize(n):
-        count *= e + 1
-    return count
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     divs = [1]

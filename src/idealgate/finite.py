@@ -1,4 +1,4 @@
-"""Finite product rings Z_{n1} x ... x Z_{nk}: subgroups and exact ideal criteria.
+"""Finite product rings Z_{n1} x ... x Z_{nk}: subgroups, their orders and ideal verdicts.
 
 Elements are tuples of residues, one per factor, always reduced into [0, n_i).
 
@@ -9,12 +9,12 @@ kernel), i.e. when the canonical basis of L is diagonal, and |H| is the index
 of n1*Z x ... x nk*Z in L, prod(n_i) / prod(pivots of L).  Neither needs the
 elements, so verdicts and orders are exact at any ring size.
 
-The paper's criteria (cyclic_is_ideal, twogen_is_ideal, kernel lattices,
-subgroup_order_two_gen, kernel_sum_order_mod_lcm) stay as theorems that tests
-check against this core and against the materialized closure.
-
 Apart from that core, closure() (materialize, --verify) and the census in
 census.py close subgroups on one bitset engine, _TranslationEngine.
+
+The paper's criteria for Z_n x Z_m are theorems in paper.py.  The kernel
+lattices and twogen_is_ideal stay here only because the benchmark in
+perfbench/ reads them from this module (see the comment above KernelLattice).
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ class ProductRing:
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.arity
 
+    # Only reduce is on a production route, and project and mul serve the oracles;
+    # all seven methods stay because perfbench's tracer counts them via vars(ProductRing).
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.arity:
             raise ValueError(f"element length {len(vec)} != arity {self.arity}")
@@ -269,20 +271,10 @@ def closure(ring: ProductRing, generators: Sequence[Sequence[int]]) -> frozenset
     return _members(bits, ring.elements())
 
 
-def cyclic_is_ideal(gen: Sequence[int], ring: ProductRing) -> bool:
-    """Single-generator criterion: the component additive orders are pairwise coprime.
-
-    Zero coordinates have order 1 and are coprime to everything, which folds
-    the one-sided trivial cases into the same formula.
-    """
-    orders = [additive_order(a, n) for a, n in zip(ring.reduce(gen), ring.moduli)]
-    return all(
-        gcd(orders[i], orders[j]) == 1
-        for i in range(len(orders))
-        for j in range(i + 1, len(orders))
-    )
-
-
+# Kernel lattices for the paper's Z_n x Z_m criteria.  They stay here, not in
+# paper.py: perfbench calls cache_clear/cache_info on finite.kernel_lattice,
+# so it stays an lru_cache in this module, with KernelLattice and
+# _two_generators beside it (paper.py imports all three).
 @dataclass(frozen=True)
 class KernelLattice:
     """Full-rank sublattice {(x, y) in Z^2 : alpha*x + beta*y == 0 mod n}."""
@@ -334,6 +326,8 @@ def kernel_lattice(alpha: int, beta: int, n: int) -> KernelLattice:
     return lat
 
 
+# Not a production route: perfbench's decide workload reads it from here as
+# its ideal oracle above ring order 10^4.
 def twogen_is_ideal(n: int, m: int, g1: Sequence[int], g2: Sequence[int]) -> bool:
     """Two-generator criterion in Z_n x Z_m via kernel lattices.
 
@@ -348,37 +342,6 @@ def twogen_is_ideal(n: int, m: int, g1: Sequence[int], g2: Sequence[int]) -> boo
         IntMatrix.from_columns(k1.basis.matrix.columns() + k2.basis.matrix.columns(), rows=2)
     )
     return total.matrix == IntMatrix.identity(2)
-
-
-def kernel_sum_order_mod_lcm(n: int, m: int, g1: Sequence[int], g2: Sequence[int]) -> int:
-    """Order of the sum of the two kernels reduced into Z_l x Z_l, l = lcm(n, m).
-
-    Finite counterpart of the lattice condition: the subgroup is an ideal
-    exactly when this order is l^2 (the reduced sum is the whole group).
-    """
-    (a, b), (c, d) = _two_generators(n, m, g1, g2)
-    l = lcm(n, m)
-    square = ProductRing((l, l))
-    gens = (
-        kernel_lattice(a, c, n).basis.matrix.columns()
-        + kernel_lattice(b, d, m).basis.matrix.columns()
-    )
-    return len(closure(square, [square.reduce(v) for v in gens]))
-
-
-def subgroup_order_two_gen(n: int, m: int, g1: Sequence[int], g2: Sequence[int]) -> int:
-    """Order of <(a, b), (c, d)> in Z_n x Z_m, without materializing it.
-
-    The first projection has order n/gcd(a, c, n); the kernel of the first
-    projection maps onto a subgroup of Z_m generated by the images of the
-    kernel-lattice basis vectors.  The product of the two sizes is the order.
-    """
-    (a, b), (c, d) = _two_generators(n, m, g1, g2)
-    size_a1 = n // gcd(a, c, n)
-    k1 = kernel_lattice(a, c, n)
-    images = [(b * vx + d * vy) % m for vx, vy in k1.basis.matrix.columns()]
-    size_b2 = m // gcd(m, *images)
-    return size_a1 * size_b2
 
 
 def _two_generators(

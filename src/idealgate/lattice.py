@@ -5,6 +5,8 @@ column-reduced basis: pivot rows strictly increase left to right, every pivot
 is positive, and in each pivot's row the entries of earlier columns are
 reduced into [0, pivot).  This normal form is unique for a given column span,
 so basis equality decides subgroup equality.
+
+The paper's 2x2 criteria for Z x Z are theorems in paper.py.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class IntMatrix:
             rows = len(columns[0])
         if any(len(col) != rows for col in columns):
             raise ValueError("ragged columns")
-        return cls(rows, len(columns), tuple(col[i] for i in range(rows) for col in columns))
+        return cls(rows, len(columns), tuple(x for row in zip(*columns) for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -84,6 +86,8 @@ class IntMatrix:
         return all(self.at(i, j) == 0 for i in range(self.rows) for j in range(self.cols) if i != j)
 
 
+# determinant, adjugate and fullrank_is_ideal are is_ideal_zd's full-rank test,
+# until a diagonal check of the canonical basis replaces it.
 def determinant(a: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
@@ -244,23 +248,6 @@ def member(v: Sequence[int], basis: LatticeBasis) -> bool:
     return not any(residual)
 
 
-def rank1_is_ideal(gen: Sequence[int]) -> bool:
-    """A nonzero single-generator subgroup is an ideal iff only one coordinate is nonzero."""
-    nonzero = sum(1 for x in gen if x)
-    if nonzero == 0:
-        raise ValueError("zero generator: the trivial subgroup is handled by the caller")
-    return nonzero == 1
-
-
-def is_ideal_2x2(a: int, b: int, c: int, d: int) -> bool:
-    """Rank-2 test in Z x Z: the span of columns (a,b), (c,d) is an ideal iff
-    ad - bc divides gcd(a, c) * gcd(b, d)."""
-    det2 = a * d - b * c
-    if det2 == 0:
-        raise ValueError("singular input: route rank <= 1 cases through rank1_is_ideal")
-    return (gcd(a, c) * gcd(b, d)) % det2 == 0
-
-
 @dataclass(frozen=True)
 class IdealWitness:
     """Certificate that a full-rank subgroup is an ideal.
@@ -286,30 +273,6 @@ class IdealWitness:
     def holds_for(self, basis_matrix: IntMatrix) -> bool:
         """Exact recheck: basis_matrix @ unimodular equals the claimed diagonal."""
         return basis_matrix @ self.unimodular == IntMatrix.diagonal(self.diagonal)
-
-
-def witness_2x2(a: int, b: int, c: int, d: int) -> IdealWitness:
-    """Explicit unimodular witness for an ideal span of (a,b), (c,d).
-
-    Solves a*x12 + c*x22 = 0, b*x11 + d*x21 = 0, det(X) = 1 with the parameter
-    choice alpha = -1, beta = gcd(a,c)*gcd(b,d)/(ad-bc); then A @ X is diagonal.
-    """
-    det2 = a * d - b * c
-    if det2 == 0 or (gcd(a, c) * gcd(b, d)) % det2 != 0:
-        raise ValueError("not an ideal: no unimodular witness exists")
-    g_ac = gcd(a, c)
-    g_bd = gcd(b, d)
-    alpha = -1
-    beta = (g_ac * g_bd) // det2
-    x12 = (-c // g_ac) * alpha
-    x22 = (a // g_ac) * alpha
-    x11 = (-d // g_bd) * beta
-    x21 = (b // g_bd) * beta
-    x = IntMatrix.from_rows([[x11, x12], [x21, x22]])
-    witness = IdealWitness((-g_ac, -det2 // g_ac), x, (0, 1))
-    if not witness.holds_for(IntMatrix.from_rows([[a, c], [b, d]])):
-        raise InvariantError(f"witness_2x2{(a, b, c, d)} does not diagonalize")
-    return witness
 
 
 def fullrank_is_ideal(a: IntMatrix) -> IdealWitness | None:

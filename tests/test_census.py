@@ -7,18 +7,14 @@ import pytest
 
 from idealgate import cli
 from idealgate.census import (
-    GoursatTuple,
     SubgroupSet,
     census_ideal_count,
     count_ideals_pp,
     count_subgroups_closed,
     count_subgroups_sum,
-    enumerate_goursat_tuples,
     enumerate_subgroups_bruteforce,
     is_ideal_bruteforce,
     is_ideal_exhaustive,
-    tuple_from_subgroup,
-    tuple_to_subgroup,
 )
 from idealgate.finite import (
     EnumerationCapExceeded,
@@ -26,6 +22,12 @@ from idealgate.finite import (
     ProductRing,
     _TranslationEngine,
     closure,
+)
+from idealgate.paper import (
+    GoursatTuple,
+    enumerate_goursat_tuples,
+    tuple_from_subgroup,
+    tuple_to_subgroup,
 )
 from closure_oracle import is_ideal_set, layered_tuple_closures, tuple_closure
 

@@ -200,6 +200,34 @@ def test_large_inputs_exit_within_seconds():
     assert proc.stdout == "[2, 3, 3]\n", proc.stderr
 
 
+def test_zero_generators_at_any_dimension():
+    # no generator columns: the zero subgroup is an ideal, decided and
+    # verified without a loop over the --dim coordinates
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["ideal", "zd", "--gens", "", "--dim", "1000000000000", "--verify", "--witness"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "idealgate", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ring"] == {"kind": "zd", "dim": 10**12}
+    assert doc["verdict"] == "ideal" and doc["oracle_checked"] is True
+    assert doc["witness"] == {"diagonal": [], "unimodular": [], "support": []}
+
+
+def test_import_boundary():
+    # the paper's criteria are theorems for the tests: the CLI never loads them
+    script = "import sys, idealgate.cli\nprint('idealgate.paper' in sys.modules)\n"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.stdout == "False\n", proc.stderr
+    assert [name for name in idealgate.__all__ if not hasattr(idealgate, name)] == []
+
+
 def test_verify_materializes_at_the_cap():
     # --verify materializes the subgroup: whole rings of order 10^6, the
     # default cap, and small subgroups of them, at arity 2 and 6

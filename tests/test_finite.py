@@ -13,14 +13,12 @@ from idealgate.finite import (
     KernelLattice,
     ProductRing,
     closure,
-    cyclic_is_ideal,
     general_is_ideal,
     kernel_lattice,
-    kernel_sum_order_mod_lcm,
-    subgroup_order_two_gen,
     twogen_is_ideal,
 )
 from idealgate.lattice import IntMatrix, member
+from idealgate.paper import cyclic_is_ideal, kernel_sum_order_mod_lcm, subgroup_order_two_gen
 
 
 # === ring and subgroup plumbing ===

@@ -13,12 +13,10 @@ from idealgate.lattice import (
     canonical_basis,
     determinant,
     fullrank_is_ideal,
-    is_ideal_2x2,
     is_ideal_zd,
     member,
-    rank1_is_ideal,
-    witness_2x2,
 )
+from idealgate.paper import is_ideal_2x2, rank1_is_ideal, witness_2x2
 from matrix_helpers import random_unimodular
 
 
