@@ -12,6 +12,10 @@ from idealgate import cli
 from idealgate.cli import run
 
 SRC = str(Path(idealgate.__file__).resolve().parents[1])
+# subprocesses import idealgate from the same src/ as this test run
+ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 
 def invoke(capsys, *argv):
@@ -192,10 +196,8 @@ def test_large_inputs_exit_within_seconds():
         "    'prob --p 2 --dim 1500',\n"
         ")])\n"
     )
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+        [sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=20
     )
     assert proc.stdout == "[2, 3, 3]\n", proc.stderr
 
@@ -203,11 +205,9 @@ def test_large_inputs_exit_within_seconds():
 def test_zero_generators_at_any_dimension():
     # no generator columns: the zero subgroup is an ideal, decided and
     # verified without a loop over the --dim coordinates
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     argv = ["ideal", "zd", "--gens", "", "--dim", "1000000000000", "--verify", "--witness"]
     proc = subprocess.run(
-        [sys.executable, "-m", "idealgate", *argv], capture_output=True, text=True, env=env, timeout=30
+        [sys.executable, "-m", "idealgate", *argv], capture_output=True, text=True, env=ENV, timeout=30
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -219,10 +219,8 @@ def test_zero_generators_at_any_dimension():
 def test_import_boundary():
     # the paper's criteria are theorems for the tests: the CLI never loads them
     script = "import sys, idealgate.cli\nprint('idealgate.paper' in sys.modules)\n"
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        [sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=30
     )
     assert proc.stdout == "False\n", proc.stderr
     assert [name for name in idealgate.__all__ if not hasattr(idealgate, name)] == []
@@ -248,10 +246,8 @@ def test_verify_materializes_at_the_cap():
         "from idealgate.cli import run\n"
         "print([run(a.split()) for a in sys.argv[1:]])\n"
     )
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=ENV, timeout=60
     )
     *lines, codes = proc.stdout.splitlines()
     assert codes == str([0] * len(argvs)), proc.stderr
@@ -269,10 +265,8 @@ def test_invariant_failure_exits_4_under_optimize():
         "cli.count_subgroups_sum = lambda p, r, s: -1\n"
         "sys.exit(cli.run(['census', '--p', '2', '--r', '1', '--s', '2']))\n"
     )
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=ENV
     )
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
