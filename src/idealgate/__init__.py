@@ -6,7 +6,6 @@ The paper's special criteria are theorems in idealgate.paper, not imported here.
 from .exactarith import (
     InvariantError,
     additive_order,
-    divisors,
     factorize,
     gaussian_binomial,
     is_prime,
@@ -44,7 +43,6 @@ from .census import (
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
     is_ideal_bruteforce,
-    is_ideal_exhaustive,
 )
 from .probability import (
     ProbabilityReport,
@@ -80,14 +78,12 @@ __all__ = [
     "count_subgroups_sum",
     "count_subspaces",
     "determinant",
-    "divisors",
     "enumerate_subgroups_bruteforce",
     "factorize",
     "fullrank_is_ideal",
     "gaussian_binomial",
     "general_is_ideal",
     "is_ideal_bruteforce",
-    "is_ideal_exhaustive",
     "is_ideal_zd",
     "is_prime",
     "kernel_lattice",

@@ -1,5 +1,5 @@
 """Subgroup census for finite product rings: the brute-force enumerator, the
-ideal oracles, and the subgroup and ideal counting formulas of Z_{p^r} x Z_{p^s}
+ideal oracle, and the subgroup and ideal counting formulas of Z_{p^r} x Z_{p^s}
 (exact integer division).  The paper's Goursat 5-tuple enumeration of those
 subgroups is a theorem in paper.py; tests check it against this census.
 
@@ -295,19 +295,6 @@ def is_ideal_bruteforce(subgroup: FiniteSubgroup) -> bool:
         ring.project(g, i) in subgroup.elements
         for g in gens
         for i in range(ring.arity)
-    )
-
-
-def is_ideal_exhaustive(subgroup: FiniteSubgroup) -> bool:
-    """Paranoid ideal oracle straight from the definition: r*h in H for every
-    ring element r and every h in H.  Costs |ring| * |H|; use at desk scale."""
-    if subgroup.elements is None:
-        raise ValueError("materialized subgroup required")
-    ring = subgroup.ring
-    return all(
-        ring.mul(r, h) in subgroup.elements
-        for r in ring.elements()
-        for h in subgroup.elements
     )
 
 

@@ -3,10 +3,15 @@
 Every decision procedure, census, and probability computation is exposed as a
 subcommand that prints one JSON document (or a text summary with
 --format text).  Exit codes: 0 computed (whatever the verdict), 2 usage error,
-3 enumeration cap exceeded or infeasible input (including a result with an
-integer too long to print in decimal), 4 oracle disagreement under --verify or
-a failed exactness invariant (never happens in a correct build).  Only a
-computed document reaches stdout; every error is one "error:" line on stderr.
+3 enumeration cap exceeded, infeasible input (including a result with an integer
+too long to print in decimal) or a failed write to stdout, 4 oracle disagreement
+under --verify or a failed exactness invariant (never happens in a correct
+build).  Only a computed document reaches stdout; every error is one "error:"
+line on stderr.
+
+--cap, else $IDEALGATE_CAP, bounds the ring order that --verify materializes
+for ideal zn and order (default 10^6), and the ring order that census, prob
+and verify census by brute force (default 10^4).  ideal zd reads no cap.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from .census import (
     DEFAULT_CENSUS_CAP,
@@ -40,6 +46,10 @@ from .lattice import IntMatrix, canonical_basis, is_ideal_zd, member
 from .probability import prob_nm, prob_vector_space
 
 CAP_ENV_VAR = "IDEALGATE_CAP"
+
+# A handler returns its document and a zero-argument oracle that reruns the answer
+# by brute force and says whether it agrees; run() does the rest, once for all.
+_Answer = tuple[dict, Callable[[], bool]]
 
 
 def _parse_vectors(text: str) -> list[tuple[int, ...]]:
@@ -77,32 +87,28 @@ def _parse_int(part: str, what: str, context: str) -> int:
         raise ValueError(f"unparseable {what} {context!r}") from None
 
 
-def _caps(args: argparse.Namespace) -> tuple[int, int]:
-    """(materialization cap, census cap); --cap overrides both, IDEALGATE_CAP is the fallback."""
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    if cap is not None and cap < 1:
+def _cap(args: argparse.Namespace, default: int | None) -> int | None:
+    """--cap, else IDEALGATE_CAP, else the default; a default of None reads no cap."""
+    env = os.environ.get(CAP_ENV_VAR)
+    if default is None or args.cap is None and env is None:
+        return default
+    try:
+        cap = int(env) if args.cap is None else args.cap
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+    if cap < 1:
         raise ValueError("cap must be positive")
-    if cap is None:
-        return DEFAULT_MATERIALIZE_CAP, DEFAULT_CENSUS_CAP
-    return cap, cap
+    return cap
 
 
 class _DigitLimitExceeded(Exception):
     """A document would hold an integer over Python's int/str digit limit."""
 
-
-def _digit_limit_error() -> str:
-    return (
-        "error: the result has an integer over Python's limit of "
-        f"{sys.get_int_max_str_digits()} digits for int/str conversion"
-    )
+    def __str__(self) -> str:
+        return (
+            "the result has an integer over Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for int/str conversion"
+        )
 
 
 def _require_printable_power(p: int, e: int) -> None:
@@ -134,6 +140,26 @@ def _witness_doc(witness) -> dict:
     }
 
 
+def _doc(command: str, ring: dict | None, gens, verdict, **fields) -> dict:
+    """The fields up to the verdict, then the subcommand's own; run() appends the rest."""
+    return dict(command=command, ring=ring, generators=[list(g) for g in gens], verdict=verdict, **fields)
+
+
+def _subgroup(args: argparse.Namespace) -> FiniteSubgroup:
+    """The subgroup of Z_n1 x ... x Z_nk given by --moduli and --gens."""
+    ring = ProductRing(tuple(_parse_csv_ints(args.moduli, "moduli")))
+    gens = _parse_vectors(args.gens)
+    if any(len(g) != ring.arity for g in gens):
+        raise ValueError("generator length must match the number of moduli")
+    return FiniteSubgroup(ring, tuple(gens))
+
+
+def _census_counts(moduli: Sequence[int], cap: int) -> tuple[int, int]:
+    """(subgroups, ideals) of Z_n1 x ... x Z_nk, the oracle of every printed count."""
+    census = enumerate_subgroups_bruteforce(ProductRing(tuple(moduli)), max_order=cap)
+    return len(census), census_ideal_count(census)
+
+
 def _zd_closure_oracle(matrix: IntMatrix) -> bool:
     # Independent of the gcd/determinant route: an additive subgroup is an
     # ideal iff every coordinate projection of every generator stays inside.
@@ -145,7 +171,7 @@ def _zd_closure_oracle(matrix: IntMatrix) -> bool:
     )
 
 
-def _handle_ideal_zd(args: argparse.Namespace) -> tuple[dict, int]:
+def _handle_ideal_zd(args: argparse.Namespace, cap: None) -> _Answer:
     gens = _parse_vectors(args.gens)
     dim = args.dim
     if dim is None:
@@ -158,13 +184,7 @@ def _handle_ideal_zd(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"generator length {len(gens[0])} != --dim {dim}")
     matrix = IntMatrix.from_columns(gens, rows=dim)
     decision = is_ideal_zd(matrix)
-    verdict = "ideal" if decision.ideal else "not_ideal"
-    doc = {
-        "command": "ideal zd",
-        "ring": {"kind": "zd", "dim": dim},
-        "generators": [list(g) for g in gens],
-        "verdict": verdict,
-    }
+    doc = _doc("ideal zd", {"kind": "zd", "dim": dim}, gens, "ideal" if decision.ideal else "not_ideal")
     if args.witness and decision.ideal:
         # the zero subgroup is an ideal with an empty (0 x 0) witness
         doc["witness"] = (
@@ -172,62 +192,25 @@ def _handle_ideal_zd(args: argparse.Namespace) -> tuple[dict, int]:
             if decision.witness is not None
             else {"diagonal": [], "unimodular": [], "support": []}
         )
-    code = 0
-    doc["oracle_checked"] = bool(args.verify)
-    if args.verify and _zd_closure_oracle(matrix) != decision.ideal:
-        code = 4
-    return doc, code
+    return doc, lambda: _zd_closure_oracle(matrix) == decision.ideal
 
 
-def _handle_ideal_zn(args: argparse.Namespace) -> tuple[dict, int]:
-    materialize_cap, _ = _caps(args)
-    moduli = _parse_csv_ints(args.moduli, "moduli")
-    ring = ProductRing(tuple(moduli))
-    gens = _parse_vectors(args.gens)
-    if any(len(g) != ring.arity for g in gens):
-        raise ValueError("generator length must match the number of moduli")
-    subgroup = FiniteSubgroup(ring, tuple(gens))
-    verdict_bool = general_is_ideal(subgroup)
-    doc = {
-        "command": "ideal zn",
-        "ring": {"kind": "zn", "moduli": list(ring.moduli)},
-        "generators": [list(g) for g in subgroup.generators],
-        "verdict": "ideal" if verdict_bool else "not_ideal",
-    }
-    code = 0
-    doc["oracle_checked"] = bool(args.verify)
-    if args.verify:
-        oracle = is_ideal_bruteforce(subgroup.materialize(cap=materialize_cap))
-        if oracle != verdict_bool:
-            code = 4
-    return doc, code
+def _handle_ideal_zn(args: argparse.Namespace, cap: int) -> _Answer:
+    subgroup = _subgroup(args)
+    ideal = general_is_ideal(subgroup)
+    verdict = "ideal" if ideal else "not_ideal"
+    doc = _doc("ideal zn", {"kind": "zn", "moduli": list(subgroup.ring.moduli)}, subgroup.generators, verdict)
+    return doc, lambda: is_ideal_bruteforce(subgroup.materialize(cap=cap)) == ideal
 
 
-def _handle_order(args: argparse.Namespace) -> tuple[dict, int]:
-    materialize_cap, _ = _caps(args)
-    moduli = _parse_csv_ints(args.moduli, "moduli")
-    ring = ProductRing(tuple(moduli))
-    gens = _parse_vectors(args.gens)
-    if any(len(g) != ring.arity for g in gens):
-        raise ValueError("generator length must match the number of moduli")
-    subgroup = FiniteSubgroup(ring, tuple(gens))
+def _handle_order(args: argparse.Namespace, cap: int) -> _Answer:
+    subgroup = _subgroup(args)
     value = subgroup.order()
-    doc = {
-        "command": "order",
-        "ring": {"kind": "zn", "moduli": list(ring.moduli)},
-        "generators": [list(g) for g in subgroup.generators],
-        "verdict": value,
-    }
-    code = 0
-    doc["oracle_checked"] = bool(args.verify)
-    if args.verify:
-        if len(subgroup.materialize(cap=materialize_cap).elements) != value:
-            code = 4
-    return doc, code
+    doc = _doc("order", {"kind": "zn", "moduli": list(subgroup.ring.moduli)}, subgroup.generators, value)
+    return doc, lambda: len(subgroup.materialize(cap=cap).elements) == value
 
 
-def _handle_census(args: argparse.Namespace) -> tuple[dict, int]:
-    _, census_cap = _caps(args)
+def _handle_census(args: argparse.Namespace, cap: int) -> _Answer:
     require_prime(args.p)
     if args.r < 0 or args.s < 0:
         raise ValueError("--r and --s must be nonnegative")
@@ -237,24 +220,12 @@ def _handle_census(args: argparse.Namespace) -> tuple[dict, int]:
         raise InvariantError("closed-form and summed subgroup counts differ")
     ideals = count_ideals_pp(args.r, args.s)
     moduli = [args.p**args.r, args.p**args.s]
-    doc = {
-        "command": "census",
-        "ring": {"kind": "zn", "moduli": moduli},
-        "generators": [],
-        "verdict": None,
-        "counts": {"subgroups": subgroups, "ideals": ideals},
-    }
-    code = 0
-    doc["oracle_checked"] = bool(args.verify)
-    if args.verify:
-        census = enumerate_subgroups_bruteforce(ProductRing(tuple(moduli)), max_order=census_cap)
-        if len(census) != subgroups or census_ideal_count(census) != ideals:
-            code = 4
-    return doc, code
+    counts = {"subgroups": subgroups, "ideals": ideals}
+    doc = _doc("census", {"kind": "zn", "moduli": moduli}, [], None, counts=counts)
+    return doc, lambda: _census_counts(moduli, cap) == (subgroups, ideals)
 
 
-def _handle_prob(args: argparse.Namespace) -> tuple[dict, int]:
-    _, census_cap = _caps(args)
+def _handle_prob(args: argparse.Namespace, cap: int) -> _Answer:
     if args.n is not None or args.m is not None:
         if args.n is None or args.m is None or args.p is not None or args.dim is not None:
             raise ValueError("use --n with --m, or --p with --dim")
@@ -271,88 +242,56 @@ def _handle_prob(args: argparse.Namespace) -> tuple[dict, int]:
         _require_printable_power(args.p, args.dim * args.dim // 4)
         report = prob_vector_space(args.p, args.dim)
         moduli = [args.p] * args.dim
-    doc = {
-        "command": "prob",
-        "ring": {"kind": "zn", "moduli": moduli},
-        "generators": [],
-        "verdict": None,
-        "counts": {"subgroups": report.subgroup_count, "ideals": report.ideal_count},
-        "probability": _fraction_doc(report.probability),
-    }
-    code = 0
-    doc["oracle_checked"] = bool(args.verify)
-    if args.verify:
-        census = enumerate_subgroups_bruteforce(ProductRing(tuple(moduli)), max_order=census_cap)
-        if (
-            len(census) != report.subgroup_count
-            or census_ideal_count(census) != report.ideal_count
-        ):
-            code = 4
-    return doc, code
+    counts = {"subgroups": report.subgroup_count, "ideals": report.ideal_count}
+    probability = _fraction_doc(report.probability)
+    doc = _doc("prob", {"kind": "zn", "moduli": moduli}, [], None, counts=counts, probability=probability)
+    return doc, lambda: _census_counts(moduli, cap) == (report.subgroup_count, report.ideal_count)
 
 
-def _handle_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    _, census_cap = _caps(args)
+def _handle_verify(args: argparse.Namespace, cap: int) -> _Answer:
     primes = _parse_csv_ints(args.primes, "primes")
     for p in primes:
         require_prime(p)
     if args.max_order < 1 or args.max_nm < 1:
         raise ValueError("--max-order and --max-nm must be positive")
     rows = []
-    ok = True
-    for p in primes:
-        for r in range(0, args.max_order.bit_length()):
-            for s in range(r, args.max_order.bit_length()):
-                if p ** (r + s) > args.max_order:
-                    continue
-                ring = ProductRing((p**r, p**s))
-                census = enumerate_subgroups_bruteforce(ring, max_order=census_cap)
-                formula = count_subgroups_closed(p, r, s)
-                ideals = census_ideal_count(census)
-                row_ok = (
-                    len(census) == formula == count_subgroups_sum(p, r, s)
-                    and ideals == count_ideals_pp(r, s)
-                )
-                rows.append(
-                    {
-                        "check": "prime_power_census",
-                        "p": p,
-                        "r": r,
-                        "s": s,
-                        "subgroups_formula": formula,
-                        "subgroups_census": len(census),
-                        "ideals_formula": count_ideals_pp(r, s),
-                        "ideals_census": ideals,
-                        "ok": row_ok,
-                    }
-                )
-                ok = ok and row_ok
-    for n in range(1, args.max_nm + 1):
-        for m in range(1, args.max_nm + 1):
-            report = prob_nm(n, m)
-            census = enumerate_subgroups_bruteforce(ProductRing((n, m)), max_order=census_cap)
-            ratio = Fraction(census_ideal_count(census), len(census))
-            row_ok = ratio == report.probability
-            rows.append(
-                {
-                    "check": "probability",
-                    "n": n,
-                    "m": m,
-                    "probability": _fraction_doc(report.probability),
-                    "census_probability": _fraction_doc(ratio),
-                    "ok": row_ok,
-                }
-            )
-            ok = ok and row_ok
-    doc = {
-        "command": "verify",
-        "ring": None,
-        "generators": [],
-        "verdict": "ok" if ok else "mismatch",
-        "rows": rows,
-        "oracle_checked": True,
-    }
-    return doc, 0 if ok else 4
+    exponents = range(args.max_order.bit_length())
+    for p, r, s in product(primes, exponents, exponents):
+        if r > s or p ** (r + s) > args.max_order:
+            continue
+        subgroups, ideals = _census_counts((p**r, p**s), cap)
+        formula = count_subgroups_closed(p, r, s)
+        row_ok = subgroups == formula == count_subgroups_sum(p, r, s) and ideals == count_ideals_pp(r, s)
+        rows.append(
+            {
+                "check": "prime_power_census",
+                "p": p,
+                "r": r,
+                "s": s,
+                "subgroups_formula": formula,
+                "subgroups_census": subgroups,
+                "ideals_formula": count_ideals_pp(r, s),
+                "ideals_census": ideals,
+                "ok": row_ok,
+            }
+        )
+    for n, m in product(range(1, args.max_nm + 1), repeat=2):
+        report = prob_nm(n, m)
+        subgroups, ideals = _census_counts((n, m), cap)
+        ratio = Fraction(ideals, subgroups)
+        rows.append(
+            {
+                "check": "probability",
+                "n": n,
+                "m": m,
+                "probability": _fraction_doc(report.probability),
+                "census_probability": _fraction_doc(ratio),
+                "ok": ratio == report.probability,
+            }
+        )
+    ok = all(row["ok"] for row in rows)
+    # the sweep is its own oracle: it has already compared every row
+    return _doc("verify", None, [], "ok" if ok else "mismatch", rows=rows), lambda: ok
 
 
 def _render_text(doc: dict) -> str:
@@ -391,11 +330,15 @@ def _render_text(doc: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
+    # one --cap, shared because run() builds the parser per call; its help
+    # states the defaults that the subcommands set as cap_default below
     common.add_argument(
         "--cap",
         type=int,
         default=None,
-        help=f"enumeration cap (max ring order to materialize); ${CAP_ENV_VAR} is the fallback",
+        help=f"max ring order to enumerate: what --verify materializes in ideal zn and order "
+        f"(default {DEFAULT_MATERIALIZE_CAP}), a census in census, prob and verify (default "
+        f"{DEFAULT_CENSUS_CAP}); ideal zd reads none; ${CAP_ENV_VAR} is the fallback",
     )
     common.add_argument(
         "--verify", action="store_true", help="also run the brute-force oracle (exit 4 on disagreement)"
@@ -414,54 +357,53 @@ def build_parser() -> argparse.ArgumentParser:
     zd.add_argument("--gens", required=True, help='generators, e.g. "2,0;3,1"')
     zd.add_argument("--dim", type=int, default=None, help="ambient dimension (default: generator length)")
     zd.add_argument("--witness", action="store_true", help="include the diagonalization witness")
-    zd.set_defaults(handler=_handle_ideal_zd)
+    zd.set_defaults(handler=_handle_ideal_zd, cap_default=None)
 
     zn = ideal_sub.add_parser("zn", parents=[common], help="subgroup of Z_n1 x ... x Z_nk")
     zn.add_argument("--moduli", required=True, help='factor moduli, e.g. "4,2"')
     zn.add_argument("--gens", required=True, help='generators, e.g. "2,0;3,1"')
-    zn.set_defaults(handler=_handle_ideal_zn)
+    zn.set_defaults(handler=_handle_ideal_zn, cap_default=DEFAULT_MATERIALIZE_CAP)
 
     order = sub.add_parser("order", parents=[common], help="subgroup order without enumeration")
     order.add_argument("--moduli", required=True)
     order.add_argument("--gens", required=True)
-    order.set_defaults(handler=_handle_order)
+    order.set_defaults(handler=_handle_order, cap_default=DEFAULT_MATERIALIZE_CAP)
 
     census = sub.add_parser("census", parents=[common], help="subgroup/ideal counts of Z_{p^r} x Z_{p^s}")
     census.add_argument("--p", type=int, required=True)
     census.add_argument("--r", type=int, required=True)
     census.add_argument("--s", type=int, required=True)
-    census.set_defaults(handler=_handle_census)
+    census.set_defaults(handler=_handle_census, cap_default=DEFAULT_CENSUS_CAP)
 
     prob = sub.add_parser("prob", parents=[common], help="probability that a random subgroup is an ideal")
     prob.add_argument("--n", type=int, default=None)
     prob.add_argument("--m", type=int, default=None)
     prob.add_argument("--p", type=int, default=None, help="prime, for the vector-space form")
     prob.add_argument("--dim", type=int, default=None, help="number of Z_p factors")
-    prob.set_defaults(handler=_handle_prob)
+    prob.set_defaults(handler=_handle_prob, cap_default=DEFAULT_CENSUS_CAP)
 
     verify = sub.add_parser("verify", parents=[common], help="sweep formulas against brute-force censuses")
     verify.add_argument("--primes", default="2,3")
     verify.add_argument("--max-order", type=int, default=256, help="census rings up to this order")
     verify.add_argument("--max-nm", type=int, default=6, help="probability checks for n, m up to this bound")
-    verify.set_defaults(handler=_handle_verify)
+    verify.set_defaults(handler=_handle_verify, cap_default=DEFAULT_CENSUS_CAP)
 
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        doc, code = args.handler(args)
-    except EnumerationCapExceeded as exc:
+        doc, oracle = args.handler(args, _cap(args, args.cap_default))
+        # the verify sweep is an oracle run, with or without --verify
+        doc["oracle_checked"] = args.verify or args.command == "verify"
+        code = 4 if doc["oracle_checked"] and not oracle() else 0
+    except (EnumerationCapExceeded, _DigitLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _DigitLimitExceeded:
-        print(_digit_limit_error(), file=sys.stderr)
         return 3
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
@@ -474,11 +416,20 @@ def run(argv: Sequence[str] | None = None) -> int:
         rendered = _render_text(doc) if args.format == "text" else json.dumps(doc)
     except ValueError:
         # the only ValueError rendering can raise: Python's int/str digit limit
-        print(_digit_limit_error(), file=sys.stderr)
+        print(f"error: {_DigitLimitExceeded()}", file=sys.stderr)
         return 3
-    print(rendered)
+    try:
+        print(rendered, flush=True)
+    except OSError as exc:  # a full device, or a pipe whose reader has gone
+        print(f"error: cannot write the result to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 3
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == 3 and sys.stdout is not None:
+        # a failed write leaves the document buffered: the interpreter's exit
+        # flush goes to os.devnull, so that it cannot fail again (exit 120)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -121,14 +121,6 @@ def require_prime(p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def valuation(n: int, p: int) -> int:
     """Largest v with p^v dividing n (n != 0, p >= 2)."""
     if n == 0:

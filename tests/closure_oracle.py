@@ -38,6 +38,13 @@ def layered_tuple_closures(ring):
     return found
 
 
+def is_ideal_exhaustive(subgroup):
+    """Ideal oracle straight from the definition, for a materialized subgroup:
+    r*h in H for every ring element r and every h in H.  Costs |ring| * |H|."""
+    ring, elements = subgroup.ring, subgroup.elements
+    return all(ring.mul(r, h) in elements for r in ring.elements() for h in elements)
+
+
 def is_ideal_set(ring, elements):
     """The element set is closed under multiplication by every coordinate
     idempotent; these generate the ring additively, so this is r*h in H for

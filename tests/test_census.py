@@ -14,7 +14,6 @@ from idealgate.census import (
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
     is_ideal_bruteforce,
-    is_ideal_exhaustive,
 )
 from idealgate.finite import (
     EnumerationCapExceeded,
@@ -29,7 +28,7 @@ from idealgate.paper import (
     tuple_from_subgroup,
     tuple_to_subgroup,
 )
-from closure_oracle import is_ideal_set, layered_tuple_closures, tuple_closure
+from closure_oracle import is_ideal_exhaustive, is_ideal_set, layered_tuple_closures, tuple_closure
 
 
 # === classifying tuples ===

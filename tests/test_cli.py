@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import idealgate
 from idealgate import cli
 from idealgate.cli import run
@@ -257,6 +259,24 @@ def test_verify_materializes_at_the_cap():
         assert ideal_doc["oracle_checked"] and order_doc["oracle_checked"]
 
 
+def test_failed_stdout_write_exits_3():
+    # a full device or a pipe with no reader: one error line and exit 3, with
+    # no traceback and no second failure from the interpreter's exit flush
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open("/dev/full", "w") as full, os.fdopen(write_end, "w") as no_reader:
+        for stdout in (full, no_reader):
+            proc = subprocess.run(
+                [sys.executable, "-m", "idealgate", "prob", "--n", "2", "--m", "2"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=ENV, timeout=30,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+            assert "Traceback" not in proc.stderr
+
+
 def test_invariant_failure_exits_4_under_optimize():
     # exactness checks are explicit, so they still run when -O strips asserts
     script = (
@@ -290,11 +310,73 @@ def test_output_is_deterministic(capsys):
     assert strip(first) == strip(second)
 
 
+# README's field order; the optional fields appear only where a case lists them
+DOC_FIELDS = [
+    "command", "ring", "generators", "verdict", "witness", "counts", "probability", "rows",
+    "oracle_checked", "elapsed_ms",
+]
+OPTIONAL_FIELDS = {"witness", "counts", "probability", "rows"}
+FIELD_CASES = [
+    ("ideal zd --gens 2,0;2,1 --witness", {"witness"}),
+    ("ideal zd --gens 2,0;3,1 --witness", set()),
+    ("ideal zn --moduli 4,2 --gens 2,0;2,1 --verify", set()),
+    ("order --moduli 4,2 --gens 2,0;3,1", set()),
+    ("census --p 2 --r 1 --s 2 --verify", {"counts"}),
+    ("prob --n 2 --m 2", {"counts", "probability"}),
+    ("prob --p 2 --dim 3 --verify", {"counts", "probability"}),
+    ("verify --primes 2 --max-order 4 --max-nm 2", {"rows"}),
+]
+
+
 def test_json_roundtrip_and_field_order(capsys):
-    _, out = invoke(capsys, "ideal", "zd", "--gens", "2,0;2,1", "--witness")
-    doc = json.loads(out)
-    assert json.loads(json.dumps(doc)) == doc
-    assert list(doc) == ["command", "ring", "generators", "verdict", "witness", "oracle_checked", "elapsed_ms"]
+    for argv, optional in FIELD_CASES:
+        code, out = invoke(capsys, *argv.split())
+        doc = json.loads(out)
+        assert code == 0 and json.loads(json.dumps(doc)) == doc, argv
+        expected = [f for f in DOC_FIELDS if f not in OPTIONAL_FIELDS or f in optional]
+        assert list(doc) == expected, argv
+
+
+TEXT_CASES = {
+    "ideal zd --gens 2,0;2,1 --witness": [
+        "command: ideal zd", "ring: Z^2", "generators: 2,0; 2,1", "verdict: ideal",
+        "witness diagonal: [2, 1]", "witness unimodular rows: [[1, 0], [0, 1]]",
+        "witness support: [0, 1]", "oracle_checked: False",
+    ],
+    "ideal zd --gens 2,0;3,1 --verify": [
+        "command: ideal zd", "ring: Z^2", "generators: 2,0; 3,1", "verdict: not_ideal",
+        "oracle_checked: True",
+    ],
+    "ideal zn --moduli 4,2 --gens 2,0;2,1": [
+        "command: ideal zn", "ring: Z_4 x Z_2", "generators: 2,0; 2,1", "verdict: ideal",
+        "oracle_checked: False",
+    ],
+    "order --moduli 4,2 --gens 2,0;3,1 --verify": [
+        "command: order", "ring: Z_4 x Z_2", "generators: 2,0; 3,1", "verdict: 4",
+        "oracle_checked: True",
+    ],
+    "census --p 2 --r 1 --s 2": [
+        "command: census", "ring: Z_2 x Z_4", "subgroups: 8  ideals: 6", "oracle_checked: False",
+    ],
+    "prob --n 2 --m 2": [
+        "command: prob", "ring: Z_2 x Z_2", "subgroups: 5  ideals: 4", "probability: 4/5",
+        "oracle_checked: False",
+    ],
+    "prob --p 2 --dim 3 --verify": [
+        "command: prob", "ring: Z_2 x Z_2 x Z_2", "subgroups: 16  ideals: 8", "probability: 1/2",
+        "oracle_checked: True",
+    ],
+    "verify --primes 2 --max-order 2 --max-nm 1": [
+        "command: verify", "verdict: ok",
+        "check=prime_power_census  p=2  r=0  s=0  subgroups_formula=1  subgroups_census=1"
+        "  ideals_formula=1  ideals_census=1  ok=True",
+        "check=prime_power_census  p=2  r=0  s=1  subgroups_formula=2  subgroups_census=2"
+        "  ideals_formula=2  ideals_census=2  ok=True",
+        "check=probability  n=1  m=1  probability={'num': 1, 'den': 1}"
+        "  census_probability={'num': 1, 'den': 1}  ok=True",
+        "oracle_checked: True",
+    ],
+}
 
 
 def test_text_format(capsys):
@@ -304,6 +386,47 @@ def test_text_format(capsys):
     assert "witness diagonal: [2, 1]" in out
     code, out = invoke(capsys, "prob", "--n", "2", "--m", "2", "--format", "text")
     assert "probability: 4/5" in out
+    for argv, lines in TEXT_CASES.items():
+        code, out = invoke(capsys, *argv.split(), "--format", "text")
+        *head, elapsed = out.splitlines()
+        assert code == 0 and head == lines, argv
+        assert re.fullmatch(r"elapsed_ms: [0-9.]+", elapsed), argv
+
+
+class _Miscounted(cli.FiniteSubgroup):
+    """A subgroup whose unmaterialized order is one too many."""
+
+    def order(self):
+        return super().order() + 1
+
+
+# (command, name in idealgate.cli, replacement): the replacement makes the
+# oracle, the census tally or the primary answer disagree with the other
+DISAGREEMENTS = [
+    ("ideal zd --gens 2,0;2,1", "_zd_closure_oracle", lambda matrix: False),
+    ("ideal zn --moduli 4,2 --gens 2,0;2,1", "is_ideal_bruteforce", lambda subgroup: False),
+    ("order --moduli 4,2 --gens 2,0;3,1", "FiniteSubgroup", _Miscounted),
+    ("census --p 2 --r 1 --s 2", "census_ideal_count", lambda census: 0),
+    ("prob --n 6 --m 6", "census_ideal_count", lambda census: 0),
+    ("prob --p 2 --dim 3", "census_ideal_count", lambda census: 0),
+]
+
+
+@pytest.mark.parametrize("argv, name, replacement", DISAGREEMENTS)
+def test_oracle_disagreement_exits_4(capsys, monkeypatch, argv, name, replacement):
+    # the document is still printed; only the exit code reports the disagreement
+    monkeypatch.setattr(cli, name, replacement)
+    code, doc = invoke_json(capsys, *argv.split(), "--verify")
+    assert code == 4 and doc["oracle_checked"] is True
+    code, doc = invoke_json(capsys, *argv.split())
+    assert code == 0 and doc["oracle_checked"] is False
+
+
+def test_verify_mismatch_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "census_ideal_count", lambda census: 0)
+    code, doc = invoke_json(capsys, "verify", "--primes", "2", "--max-order", "4", "--max-nm", "2")
+    assert code == 4 and doc["verdict"] == "mismatch" and doc["oracle_checked"] is True
+    assert not any(row["ok"] for row in doc["rows"])
 
 
 def test_module_entry_point():

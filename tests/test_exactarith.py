@@ -12,13 +12,13 @@ import pytest
 import idealgate
 from idealgate.exactarith import (
     additive_order,
-    divisors,
     factorize,
     gaussian_binomial,
     is_prime,
     valuation,
     xgcd,
 )
+from number_oracle import divisors
 
 SRC = str(Path(idealgate.__file__).resolve().parents[1])
 

@@ -18,6 +18,7 @@ from idealgate.lattice import (
 )
 from idealgate.paper import is_ideal_2x2, rank1_is_ideal, witness_2x2
 from matrix_helpers import random_unimodular
+from number_oracle import divisors
 
 
 def cols(*columns):
@@ -355,8 +356,6 @@ def test_fullrank_acceptance_implies_diagonalization_conditions():
 def test_fullrank_rejection_means_no_divisor_pair_works():
     # exhaustive check of the diagonalization conditions over every signed divisor
     # split of the determinant, independent of the row-gcd shortcut
-    from idealgate.exactarith import divisors
-
     for a, b, c, d in product(range(-4, 5), repeat=4):
         det2 = a * d - b * c
         if det2 == 0 or fullrank_is_ideal(cols((a, b), (c, d))) is not None:
