@@ -19,12 +19,11 @@ use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .exactarith import InvariantError, factorize, require_prime
+from .exactarith import InvariantError, Record, factorize, require_prime
 from .finite import (
     EnumerationCapExceeded,
     FiniteSubgroup,
@@ -86,8 +85,7 @@ def _sorted_exponents(r: int, s: int) -> tuple[int, int]:
     return (r, s) if r <= s else (s, r)
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
+class SubgroupSet(Record):
     """Deduplicated, canonically ordered census of all subgroups of a ring.
 
     Each subgroup is kept as the engine's bitset (bit e is the e-th element of
@@ -95,15 +93,22 @@ class SubgroupSet:
     read the bits, and members decodes them into FiniteSubgroups on first use.
     """
 
-    ring: ProductRing
-    bitsets: tuple[int, ...]
-    generators: tuple[tuple[tuple[int, ...], ...], ...]
+    # __dict__ holds the cached members
+    __slots__ = ("ring", "bitsets", "generators", "__dict__")
 
-    def __post_init__(self) -> None:
-        if len(self.generators) != len(self.bitsets):
+    def __init__(
+        self,
+        ring: ProductRing,
+        bitsets: tuple[int, ...],
+        generators: tuple[tuple[tuple[int, ...], ...], ...],
+    ) -> None:
+        if len(generators) != len(bitsets):
             raise ValueError("census needs one generator tuple per member")
-        if len(set(self.bitsets)) != len(self.bitsets):
+        if len(set(bitsets)) != len(bitsets):
             raise ValueError("census members must be pairwise distinct")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "bitsets", bitsets)
+        object.__setattr__(self, "generators", generators)
 
     def __len__(self) -> int:
         return len(self.bitsets)

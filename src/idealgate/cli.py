@@ -11,7 +11,8 @@ line on stderr.
 
 --cap, else $IDEALGATE_CAP, bounds the ring order that --verify materializes
 for ideal zn and order (default 10^6), and the ring order that census, prob
-and verify census by brute force (default 10^4).  ideal zd reads no cap.
+and verify census by brute force (default 10^4).  ideal zd reads no cap, but
+every subcommand, ideal zd too, exits 2 on a cap that is not a positive integer.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ def _parse_int(part: str, what: str, context: str) -> int:
 
 
 def _cap(args: argparse.Namespace, default: int | None) -> int | None:
-    """--cap, else IDEALGATE_CAP, else the default; a default of None reads no cap."""
+    """--cap, else IDEALGATE_CAP, else the default.  The value is checked for
+    every subcommand, but a default of None (ideal zd) reads no cap."""
     env = os.environ.get(CAP_ENV_VAR)
-    if default is None or args.cap is None and env is None:
+    if args.cap is None and env is None:
         return default
     try:
         cap = int(env) if args.cap is None else args.cap
@@ -98,7 +100,7 @@ def _cap(args: argparse.Namespace, default: int | None) -> int | None:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
     if cap < 1:
         raise ValueError("cap must be positive")
-    return cap
+    return None if default is None else cap
 
 
 class _DigitLimitExceeded(Exception):

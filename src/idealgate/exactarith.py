@@ -1,12 +1,52 @@
 """Exact integer primitives: factorization, additive orders, Gaussian binomials.
 
 All arithmetic is arbitrary precision; nothing here ever goes through floats.
-gcd conventions follow math.gcd: always nonnegative, gcd(0, 0) == 0.
+gcd conventions follow math.gcd: always nonnegative, gcd(0, 0) == 0.  Record,
+the base of the value classes of every layer, lives here too.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's immutable value classes: plain __slots__ classes.
+
+    A subclass lists its fields in __slots__, in the order of its __init__,
+    which sets them with object.__setattr__.  Equality (same class, then the
+    fields), hashing, repr and pickling read the fields; pickling and copying
+    go back through __init__, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # the fields in one C call, for __eq__ and __hash__ (one field: its bare value)
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class InvariantError(RuntimeError):

@@ -19,13 +19,12 @@ perfbench/ reads them from this module (see the comment above KernelLattice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product as iter_product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .exactarith import InvariantError, additive_order, xgcd
+from .exactarith import InvariantError, Record, additive_order, xgcd
 from .lattice import IntMatrix, LatticeBasis, canonical_basis, member
 
 # Max ring order to materialize.  At the cap on a shared 2-core x86-64 host,
@@ -38,18 +37,18 @@ class EnumerationCapExceeded(RuntimeError):
     """A computation would materialize more ring elements than the configured cap."""
 
 
-@dataclass(frozen=True)
-class ProductRing:
+class ProductRing(Record):
     """The ring Z_{n1} x ... x Z_{nk} with componentwise operations."""
 
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(n) for n in self.moduli))
-        if not self.moduli:
+    def __init__(self, moduli: Sequence[int]) -> None:
+        moduli = tuple(int(n) for n in moduli)
+        if not moduli:
             raise ValueError("a product ring needs at least one factor")
-        if any(n < 1 for n in self.moduli):
-            raise ValueError(f"moduli must be >= 1, got {self.moduli}")
+        if any(n < 1 for n in moduli):
+            raise ValueError(f"moduli must be >= 1, got {moduli}")
+        object.__setattr__(self, "moduli", moduli)
 
     @property
     def arity(self) -> int:
@@ -92,30 +91,32 @@ class ProductRing:
         return lcm(*(additive_order(a, n) for a, n in zip(x, self.moduli)))
 
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
+class FiniteSubgroup(Record):
     """Subgroup of a product ring given by at most arity-many generators.
 
     elements, when present, is the full materialized element set; it must be
     the closure of the generators (constructors in this package guarantee it).
     """
 
-    ring: ProductRing
-    generators: tuple[tuple[int, ...], ...]
-    elements: frozenset[tuple[int, ...]] | None = None
+    __slots__ = ("ring", "generators", "elements")
 
-    def __post_init__(self) -> None:
-        reduced = tuple(self.ring.reduce(g) for g in self.generators)
-        object.__setattr__(self, "generators", reduced)
-        if len(reduced) > self.ring.arity:
-            raise ValueError(
-                f"{len(reduced)} generators exceed the arity bound {self.ring.arity}"
-            )
-        if self.elements is not None:
-            if self.ring.zero() not in self.elements:
+    def __init__(
+        self,
+        ring: ProductRing,
+        generators: Sequence[Sequence[int]],
+        elements: frozenset[tuple[int, ...]] | None = None,
+    ) -> None:
+        reduced = tuple(ring.reduce(g) for g in generators)
+        if len(reduced) > ring.arity:
+            raise ValueError(f"{len(reduced)} generators exceed the arity bound {ring.arity}")
+        if elements is not None:
+            if ring.zero() not in elements:
                 raise ValueError("materialized subgroup must contain zero")
-            if self.ring.order % len(self.elements):
+            if ring.order % len(elements):
                 raise ValueError("materialized size must divide the ring order")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "generators", reduced)
+        object.__setattr__(self, "elements", elements)
 
     def materialize(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> "FiniteSubgroup":
         if self.elements is not None:
@@ -275,19 +276,18 @@ def closure(ring: ProductRing, generators: Sequence[Sequence[int]]) -> frozenset
 # paper.py: perfbench calls cache_clear/cache_info on finite.kernel_lattice,
 # so it stays an lru_cache in this module, with KernelLattice and
 # _two_generators beside it (paper.py imports all three).
-@dataclass(frozen=True)
-class KernelLattice:
+class KernelLattice(Record):
     """Full-rank sublattice {(x, y) in Z^2 : alpha*x + beta*y == 0 mod n}."""
 
-    modulus: int
-    basis: LatticeBasis
+    __slots__ = ("modulus", "basis")
 
-    def __post_init__(self) -> None:
-        n = self.modulus
-        if self.basis.ambient_dim != 2 or self.basis.rank != 2:
+    def __init__(self, modulus: int, basis: LatticeBasis) -> None:
+        if basis.ambient_dim != 2 or basis.rank != 2:
             raise ValueError("kernel lattice must have full rank in Z^2")
-        if not (member((n, 0), self.basis) and member((0, n), self.basis)):
+        if not (member((modulus, 0), basis) and member((0, modulus), basis)):
             raise ValueError("kernel lattice must contain n*Z^2")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "basis", basis)
 
     def index(self) -> int:
         """Index in Z^2 (product of the two pivots of the canonical basis)."""

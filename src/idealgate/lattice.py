@@ -12,26 +12,25 @@ The paper's 2x2 criteria for Z x Z are theorems in paper.py.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, prod
 from typing import Sequence
 
-from .exactarith import InvariantError, xgcd
+from .exactarith import InvariantError, Record, xgcd
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense arbitrary-precision integer matrix, entries in row-major order."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 0:
-            raise ValueError(f"bad shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 1 or cols < 0:
+            raise ValueError(f"bad shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -136,16 +135,16 @@ def adjugate(a: IntMatrix) -> IntMatrix:
     return IntMatrix(n, n, tuple(out))
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """Canonical column-reduced basis of a subgroup of Z^d (rank = number of columns)."""
 
-    ambient_dim: int
-    matrix: IntMatrix
+    __slots__ = ("ambient_dim", "matrix")
 
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.ambient_dim:
+    def __init__(self, ambient_dim: int, matrix: IntMatrix) -> None:
+        if matrix.rows != ambient_dim:
             raise ValueError("basis row count must equal the ambient dimension")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "matrix", matrix)
         pivots = self.pivot_rows()
         for j, p in enumerate(pivots):
             if j and p <= pivots[j - 1]:
@@ -248,27 +247,27 @@ def member(v: Sequence[int], basis: LatticeBasis) -> bool:
     return not any(residual)
 
 
-@dataclass(frozen=True)
-class IdealWitness:
+class IdealWitness(Record):
     """Certificate that a full-rank subgroup is an ideal.
 
     basis @ unimodular == Diagonal(diagonal) on the (0-based) support
     coordinates, and det(unimodular) == +-1.
     """
 
-    diagonal: tuple[int, ...]
-    unimodular: IntMatrix
-    support: tuple[int, ...]
+    __slots__ = ("diagonal", "unimodular", "support")
 
-    def __post_init__(self) -> None:
-        k = len(self.diagonal)
-        if any(d == 0 for d in self.diagonal):
+    def __init__(self, diagonal: tuple[int, ...], unimodular: IntMatrix, support: tuple[int, ...]) -> None:
+        k = len(diagonal)
+        if any(d == 0 for d in diagonal):
             raise ValueError("witness diagonal entries must be nonzero")
-        if self.unimodular.rows != k or self.unimodular.cols != k or len(self.support) != k:
+        if unimodular.rows != k or unimodular.cols != k or len(support) != k:
             raise ValueError("witness shape mismatch")
         # det(I) == 1, so the usual identity witness skips the Bareiss determinant
-        if self.unimodular != IntMatrix.identity(k) and determinant(self.unimodular) not in (1, -1):
+        if unimodular != IntMatrix.identity(k) and determinant(unimodular) not in (1, -1):
             raise ValueError("witness matrix is not unimodular")
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "unimodular", unimodular)
+        object.__setattr__(self, "support", support)
 
     def holds_for(self, basis_matrix: IntMatrix) -> bool:
         """Exact recheck: basis_matrix @ unimodular equals the claimed diagonal."""
@@ -307,13 +306,15 @@ def fullrank_is_ideal(a: IntMatrix) -> IdealWitness | None:
     return witness
 
 
-@dataclass(frozen=True)
-class ZdDecision:
+class ZdDecision(Record):
     """Outcome of the Z^d ideal test: a witness when ideal, a reason when not."""
 
-    ideal: bool
-    witness: IdealWitness | None = None
-    reason: str | None = None
+    __slots__ = ("ideal", "witness", "reason")
+
+    def __init__(self, ideal: bool, witness: IdealWitness | None = None, reason: str | None = None) -> None:
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
 
 def is_ideal_zd(generators: IntMatrix) -> ZdDecision:

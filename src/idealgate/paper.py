@@ -10,11 +10,10 @@ Goursat 5-tuples, one per subgroup, with the maps both ways.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactarith import InvariantError, additive_order, require_prime, valuation
+from .exactarith import InvariantError, Record, additive_order, require_prime, valuation
 from .finite import FiniteSubgroup, ProductRing, _two_generators, closure, kernel_lattice
 from .lattice import IdealWitness, IntMatrix
 
@@ -105,8 +104,7 @@ def subgroup_order_two_gen(n: int, m: int, g1: Sequence[int], g2: Sequence[int])
     return size_a1 * size_b2
 
 
-@dataclass(frozen=True)
-class GoursatTuple:
+class GoursatTuple(Record):
     """Classifying datum of a subgroup of Z_{p^r} x Z_{p^s}.
 
     Subgroups of each cyclic factor form a chain, so the pairs are encoded by
@@ -116,31 +114,32 @@ class GoursatTuple:
     canonical generator cosets; both quotients have order p^(a1-b1).
     """
 
-    p: int
-    r: int
-    s: int
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-    unit: int
+    __slots__ = ("p", "r", "s", "a1", "b1", "a2", "b2", "unit")
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        if self.r < 0 or self.s < 0:
+    def __init__(self, p: int, r: int, s: int, a1: int, b1: int, a2: int, b2: int, unit: int) -> None:
+        require_prime(p)
+        if r < 0 or s < 0:
             raise ValueError("exponents must be nonnegative")
-        if not 0 <= self.b1 <= self.a1 <= self.r:
+        if not 0 <= b1 <= a1 <= r:
             raise ValueError("need 0 <= b1 <= a1 <= r")
-        if not 0 <= self.b2 <= self.a2 <= self.s:
+        if not 0 <= b2 <= a2 <= s:
             raise ValueError("need 0 <= b2 <= a2 <= s")
-        t = self.a1 - self.b1
-        if t != self.a2 - self.b2:
+        t = a1 - b1
+        if t != a2 - b2:
             raise ValueError("quotients must have equal order")
         if t == 0:
-            if self.unit != 1:
+            if unit != 1:
                 raise ValueError("trivial quotient admits only the trivial map")
-        elif not (1 <= self.unit < self.p**t and self.unit % self.p):
+        elif not (1 <= unit < p**t and unit % p):
             raise ValueError("unit must be coprime to p and reduced mod p^(a1-b1)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "unit", unit)
 
 
 def enumerate_goursat_tuples(p: int, r: int, s: int) -> list[GoursatTuple]:

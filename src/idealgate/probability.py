@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exactarith import InvariantError, factorize, gaussian_binomial, require_prime
+from .exactarith import InvariantError, Record, factorize, gaussian_binomial, require_prime
 from .census import count_ideals_pp, count_subgroups_closed
 
 
-@dataclass(frozen=True)
-class ProbabilityReport:
+class ProbabilityReport(Record):
     """Ideal count over subgroup count for one ring, as an exact rational."""
 
-    ring: str
-    ideal_count: int
-    subgroup_count: int
-    probability: Fraction
+    __slots__ = ("ring", "ideal_count", "subgroup_count", "probability")
 
-    def __post_init__(self) -> None:
-        if self.probability != Fraction(self.ideal_count, self.subgroup_count):
+    def __init__(self, ring: str, ideal_count: int, subgroup_count: int, probability: Fraction) -> None:
+        if probability != Fraction(ideal_count, subgroup_count):
             raise ValueError("probability must equal ideal_count / subgroup_count")
-        if not 0 < self.probability <= 1:
+        if not 0 < probability <= 1:
             raise ValueError("probability must lie in (0, 1]")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "ideal_count", ideal_count)
+        object.__setattr__(self, "subgroup_count", subgroup_count)
+        object.__setattr__(self, "probability", probability)
 
 
 def prob_pp(p: int, r: int, s: int) -> ProbabilityReport:

@@ -219,12 +219,17 @@ def test_zero_generators_at_any_dimension():
 
 
 def test_import_boundary():
-    # the paper's criteria are theorems for the tests: the CLI never loads them
-    script = "import sys, idealgate.cli\nprint('idealgate.paper' in sys.modules)\n"
+    # the paper's criteria are theorems for the tests: the CLI never loads them;
+    # the value classes are plain slotted classes, so neither dataclasses nor
+    # inspect (which dataclasses imports) is on the CLI's import path
+    script = (
+        "import sys, idealgate.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'idealgate.paper') if m in sys.modules])\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=30
     )
-    assert proc.stdout == "False\n", proc.stderr
+    assert proc.stdout == "[]\n", proc.stderr
     assert [name for name in idealgate.__all__ if not hasattr(idealgate, name)] == []
 
 
@@ -300,6 +305,28 @@ def test_cap_env_var_fallback(capsys, monkeypatch):
     assert invoke(capsys, "census", "--p", "2", "--r", "2", "--s", "2", "--verify", "--cap", "10000")[0] == 0
     monkeypatch.setenv("IDEALGATE_CAP", "junk")
     assert invoke(capsys, "census", "--p", "2", "--r", "1", "--s", "1", "--verify")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "zd", "--gens", "1,0;0,1", "--verify"],
+        ["ideal", "zn", "--moduli", "4,2", "--gens", "2,0"],
+        ["order", "--moduli", "4,2", "--gens", "2,0"],
+        ["census", "--p", "2", "--r", "1", "--s", "1"],
+        ["prob", "--n", "2", "--m", "2"],
+        ["verify", "--primes", "2", "--max-order", "4", "--max-nm", "2"],
+    ],
+)
+def test_cap_values_checked_for_every_subcommand(capsys, monkeypatch, argv):
+    # ideal zd reads no cap, but a bad value is a usage error there too
+    assert run([*argv, "--cap", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: cap must be positive\n")
+    monkeypatch.setenv("IDEALGATE_CAP", "junk")
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: IDEALGATE_CAP must be an integer, got 'junk'\n")
+    # the flag wins over the environment, and a valid cap computes
+    assert invoke(capsys, *argv, "--cap", "10000")[0] == 0
 
 
 def test_output_is_deterministic(capsys):
