@@ -54,7 +54,11 @@ _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 def count_subgroups_closed(p: int, r: int, s: int) -> int:
     """Closed-form subgroup count of Z_{p^r} x Z_{p^s}; the division is exact."""
     require_prime(p)
-    r, s = _sorted_exponents(r, s)
+    return _subgroups_closed(p, *_sorted_exponents(r, s))
+
+
+def _subgroups_closed(p: int, r: int, s: int) -> int:
+    """The closed form for a proven prime p and exponents 0 <= r <= s."""
     num = p ** (r + 1) * ((s - r + 1) * (p - 1) + 2) - ((s + r + 3) * (p - 1) + 2)
     q, rem = divmod(num, (p - 1) ** 2)
     if rem:

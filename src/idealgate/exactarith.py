@@ -77,8 +77,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     by is_prime before the loop and after each prime factor is divided out).
     Reaching a prime factor p takes about p/2 divisions, so the cost follows
     the second largest prime factor of n, counted with multiplicity: a prime
-    n, or a prime cofactor, costs one is_prime.  A product p*q of two large
-    primes p <= q still takes about p/2 divisions, with no bound.
+    n, or a prime cofactor, costs one is_prime: Miller-Rabin with the first
+    k bases, as many as its size needs.  A product p*q of two large primes
+    p <= q still takes about p/2 divisions, with no bound.
     """
     if n <= 0:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -107,24 +108,32 @@ def _is_prime_below_bound(n: int) -> bool:
     return n < _MILLER_RABIN_EXACT_BELOW and is_prime(n)
 
 
-# The first 13 prime bases decide primality exactly below this bound: no
-# composite below it is a strong pseudoprime to all of them (Sorenson and
-# Webster 2015, "Strong pseudoprimes to twelve prime bases").
+# psi_k, the least composite that is a strong pseudoprime to each of the first
+# k prime bases (OEIS A014233; Jaeschke 1993, and Sorenson and Webster 2015,
+# "Strong pseudoprimes to twelve prime bases"): below psi_k the first k bases
+# decide primality exactly, and below psi_13 all 13 do.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+_MILLER_RABIN_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+_MILLER_RABIN_EXACT_BELOW = _MILLER_RABIN_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Trial division by the primes up to 41, then Miller-Rabin with those
-    primes as bases, at most 13 modular exponentiations.  Below
-    3317044064679887385961981 this is exact.  At or above that bound a base
-    that fails still proves n composite, so composites are decided at once
-    unless they are strong pseudoprimes to all 13 bases; only the numbers
-    that pass every base fall back to trial division, which is exact at any
-    size but takes time proportional to sqrt(n).  So a prime above the bound
-    still takes unbounded time: no primality certificate is built yet.
+    Trial division by the primes up to 41, then Miller-Rabin with the first
+    k of those primes as bases, one modular exponentiation each, where k is
+    the least with n below psi_k (five bases below 2152302898747, all 13
+    below 3317044064679887385961981); below psi_13 this is exact.  At or
+    above that bound a base that fails still proves n composite, so
+    composites are decided at once unless they are strong pseudoprimes to
+    all 13 bases; only the numbers that pass every base fall back to trial
+    division, which is exact at any size but takes time proportional to
+    sqrt(n).  So a prime above the bound still takes unbounded time: no
+    primality certificate is built yet.
     """
     if n < 2:
         return False
@@ -137,22 +146,22 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MILLER_RABIN_BASES:
+    for a, psi in zip(_MILLER_RABIN_BASES, _MILLER_RABIN_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MILLER_RABIN_EXACT_BELOW:
-        q = 43
-        while q * q <= n:
-            if n % q == 0:
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
                 return False
-            q += 2
+        if n < psi:
+            return True
+    q = 43  # n >= psi_13 passed every base
+    while q * q <= n:
+        if n % q == 0:
+            return False
+        q += 2
     return True
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import prod
 
 from .exactarith import InvariantError, Record, factorize, gaussian_binomial, require_prime
-from .census import count_ideals_pp, count_subgroups_closed
+from .census import _subgroups_closed, count_ideals_pp, count_subgroups_closed
 
 
 class ProbabilityReport(Record):
@@ -41,24 +41,24 @@ def prob_nm(n: int, m: int) -> ProbabilityReport:
 
     Per prime, the exponent pair is sorted ascending before the closed formula
     applies.  Ideals count as d(n) * d(m) (one per divisor pair), read off the
-    same factorizations; both counts and the probability are exact.
+    same factorizations; both counts and the probability are exact.  The
+    primes come from factorize, which has proven them, so they are not proven
+    again; the counts stay integers up to the one Fraction of the report.
     """
     if n <= 0 or m <= 0:
         raise ValueError("moduli must be positive")
     exponents_n = dict(factorize(n))
     exponents_m = dict(factorize(m))
     ideals = prod(e + 1 for e in exponents_n.values()) * prod(e + 1 for e in exponents_m.values())
-    subgroups = 1
-    probability = Fraction(1)
-    for p in sorted(set(exponents_n) | set(exponents_m)):
+    local_ideals = subgroups = 1
+    for p in exponents_n.keys() | exponents_m.keys():
         lo, hi = sorted((exponents_n.get(p, 0), exponents_m.get(p, 0)))
-        local = prob_pp(p, lo, hi)
-        subgroups *= local.subgroup_count
-        probability *= local.probability
-    report = ProbabilityReport(f"Z_{n} x Z_{m}", ideals, subgroups, Fraction(ideals, subgroups))
-    if report.probability != probability:
+        local_ideals *= count_ideals_pp(lo, hi)
+        subgroups *= _subgroups_closed(p, lo, hi)
+    # the ratio equals the product of the prime-wise ratios iff the ideal counts agree
+    if ideals != local_ideals:
         raise InvariantError(f"prob_nm({n}, {m}): count ratio differs from the prime-wise product")
-    return report
+    return ProbabilityReport(f"Z_{n} x Z_{m}", ideals, subgroups, Fraction(ideals, subgroups))
 
 
 def count_subspaces(p: int, r: int) -> int:

@@ -134,6 +134,59 @@ def test_cap_exceeded_exit_3(capsys):
         assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, predicted",
+    [
+        ("census --p 2 --r 1 --s 2", 8),
+        ("prob --n 2 --m 4", 8),
+        ("prob --p 2 --dim 3", 16),
+        ("verify --primes 2 --max-order 2 --max-nm 1", 2),  # Z_1 x Z_2, a prime-power row
+        ("verify --primes 2 --max-order 1 --max-nm 2", 5),  # Z_2 x Z_2, a probability row
+    ],
+)
+def test_census_bounded_by_its_predicted_subgroup_count(capsys, monkeypatch, argv, predicted):
+    # each route hands the census the count its formulas predict; a bound of
+    # exactly that count runs it, one less stops it before it starts
+    monkeypatch.setattr(cli, "CENSUS_SUBGROUP_BOUND", predicted)
+    code, doc = invoke_json(capsys, *argv.split(), "--verify")
+    assert code == 0 and doc["oracle_checked"] is True
+    monkeypatch.setattr(cli, "CENSUS_SUBGROUP_BOUND", predicted - 1)
+    assert run([*argv.split(), "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the census would enumerate {predicted} subgroups, "
+        f"over the bound of {predicted - 1} subgroups per census\n"
+    )
+
+
+def test_census_bound_is_not_the_cap(capsys, monkeypatch):
+    # --cap and IDEALGATE_CAP bound the ring order only; Z_2^9 has order 512
+    # and 8,283,458 subgroups
+    argv = ["prob", "--p", "2", "--dim", "9", "--verify"]
+    assert run([*argv, "--cap", "1000000"]) == 3
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "1000000")
+    assert run(argv) == 3
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and len(set(errors)) == 1
+    assert "8283458 subgroups" in errors[0] and f"{cli.CENSUS_SUBGROUP_BOUND} subgroups" in errors[0]
+
+
+def test_large_censuses_exit_3_within_seconds():
+    # Z_2^9 (8.3 million subgroups) and Z_2^13 (order 8192, within the ring-order
+    # cap, 3.76 * 10^13 subgroups) would run for minutes to years and past 3 GiB
+    for dim, count in ((9, 8283458), (13, 37558989808526)):
+        argv = ["prob", "--p", "2", "--dim", str(dim), "--verify"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "idealgate", *argv],
+            capture_output=True, text=True, env=ENV, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+        assert f"{count} subgroups" in proc.stderr
+
+
 def test_zn_decided_beyond_cap(capsys):
     # verdicts and orders never enumerate, so the cap binds only the oracle
     args = ("--moduli", "101,103,107", "--gens", "1,0,0;0,1,0;0,0,1", "--cap", "1000")

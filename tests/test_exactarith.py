@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import idealgate
+from idealgate import exactarith
 from idealgate.exactarith import (
     additive_order,
     factorize,
@@ -18,7 +19,7 @@ from idealgate.exactarith import (
     valuation,
     xgcd,
 )
-from number_oracle import divisors
+from number_oracle import divisors, trial_division_factorize
 
 SRC = str(Path(idealgate.__file__).resolve().parents[1])
 
@@ -89,22 +90,6 @@ def test_is_prime_against_trial_division():
         assert is_prime(n) == _trial_division_is_prime(n), n
 
 
-def _trial_division_factorize(n):
-    factors = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            factors.append((d, e))
-        d += 1
-    if n > 1:
-        factors.append((n, 1))
-    return factors
-
-
 def test_factorize_against_trial_division():
     primes = [2, 3, 41, 43, 1847, 1861, 65537, 999983, 1000003, 2147483647, 999999999989]
     assert all(_trial_division_is_prime(p) for p in primes)
@@ -122,7 +107,7 @@ def test_factorize_against_trial_division():
     assert above_bound >= 3317044064679887385961981
     cases.append(above_bound)
     for n in cases:
-        assert factorize(n) == _trial_division_factorize(n), n
+        assert factorize(n) == trial_division_factorize(n), n
 
 
 def test_factorize_stops_on_a_prime_cofactor():
@@ -148,6 +133,48 @@ def test_is_prime_rejects_strong_pseudoprimes():
         assert prod(factors) == n
         assert not is_prime(n)
     assert is_prime(2**61 - 1) and is_prime(2**79 - 67)
+
+
+# psi_k (OEIS A014233): the least composite that is a strong pseudoprime to
+# each of the first k prime bases, for k = 1..13
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
+
+
+def test_is_prime_at_each_base_count_threshold():
+    # is_prime runs only the first k bases below psi_k, so psi_k itself is
+    # where the (k+1)-th base (or a later one) has to reject.  is_prime(psi_13)
+    # is not asked: a number at the bound that passes every base falls back
+    # to trial division
+    for k, psi in enumerate(PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k]), k
+        if k < len(PSI):
+            assert not is_prime(psi), k
+    assert exactarith._MILLER_RABIN_PSI == PSI
+
+
+def test_is_prime_against_a_sieve():
+    limit = 2 * 10**6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    mismatches = [n for n in range(limit) if is_prime(n) != sieve[n]]
+    assert mismatches == []
 
 
 def test_is_prime_above_the_miller_rabin_bound():

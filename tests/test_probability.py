@@ -1,9 +1,17 @@
 """Tests for the exact ideal probabilities."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cache
+from math import prod
+from pathlib import Path
 
 import pytest
 
+import idealgate
 from idealgate.census import census_ideal_count, enumerate_subgroups_bruteforce
 from idealgate.finite import ProductRing
 from idealgate.probability import (
@@ -13,6 +21,9 @@ from idealgate.probability import (
     prob_pp,
     prob_vector_space,
 )
+from number_oracle import trial_division_factorize
+
+SRC = str(Path(idealgate.__file__).resolve().parents[1])
 
 
 def _census_ratio(moduli) -> tuple[int, int]:
@@ -116,6 +127,79 @@ def test_prob_nm_matches_census():
             ideals, subgroups = _census_ratio((n, m))
             report = prob_nm(n, m)
             assert (report.ideal_count, report.subgroup_count) == (ideals, subgroups), (n, m)
+
+
+# about 0.1 s per prime near 10^12, so each number is factored once
+_factored = cache(trial_division_factorize)
+
+
+def _prime_wise_oracle(n, m):
+    """(ring, ideals, subgroups, probability) of Z_n x Z_m as the product of
+    prob_pp over the primes of a trial-division factorization."""
+    en, em = dict(_factored(n)), dict(_factored(m))
+    parts = [prob_pp(p, en.get(p, 0), em.get(p, 0)) for p in en.keys() | em.keys()]
+    return (
+        f"Z_{n} x Z_{m}",
+        prod(part.ideal_count for part in parts),
+        prod(part.subgroup_count for part in parts),
+        prod((part.probability for part in parts), start=Fraction(1)),
+    )
+
+
+def test_prob_nm_at_scale_matches_the_prime_wise_oracle():
+    rng = random.Random(2015)
+    primes = []
+    while len(primes) < 6:
+        c = rng.randrange(10**10, 10**12) | 1
+        if _factored(c) == [(c, 1)]:
+            primes.append(c)
+
+    def smooth():
+        n = 1
+        while True:
+            p = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+            if n * p > 10**12:
+                return n
+            n *= p
+
+    prime_powers = [2**39, 3**25, 7**14, 65537**2, 1000003**2, 9973**3, 101**5, primes[0]]
+    smooths = [smooth() for _ in range(6)]
+    pairs = list(zip(primes, primes[1:] + primes[:1]))
+    pairs += [(primes[i], smooths[i]) for i in range(6)] + [(smooths[i], primes[i]) for i in range(3)]
+    pairs += list(zip(smooths, smooths[1:]))
+    pairs += [(a, b) for a in prime_powers for b in (prime_powers[0], prime_powers[3], smooths[0])]
+    pairs += [(1, primes[0]), (primes[0], 1)]
+    for n, m in pairs:
+        report = prob_nm(n, m)
+        got = (report.ring, report.ideal_count, report.subgroup_count, report.probability)
+        assert got == _prime_wise_oracle(n, m), (n, m)
+
+
+def test_prob_nm_cross_check_runs_under_optimization():
+    # a wrong per-prime ideal count must still reach the integer cross-check
+    # (exit 4) with asserts stripped
+    script = (
+        "import sys\n"
+        "import idealgate.probability as probability\n"
+        "probability.count_ideals_pp = lambda r, s: (r + 1) * (s + 1) + 1\n"
+        "from idealgate.cli import main\n"
+        "sys.argv = ['idealgate', 'prob', '--n', '12', '--m', '18']\n"
+        "main()\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: internal invariant failed: "
+        "prob_nm(12, 18): count ratio differs from the prime-wise product\n"
+    )
 
 
 def test_count_subspaces_frozen_examples():
