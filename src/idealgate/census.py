@@ -47,6 +47,14 @@ from .finite import (
 # them: 0.13 s more for Z_96 x Z_96, 0.02-0.03 s for Z_2^6.
 DEFAULT_CENSUS_CAP = 10_000
 
+# Max subgroup count of a census, fixed: its time and memory follow the
+# subgroup count (one extend and one bitset each), which the ring-order cap
+# does not bound.  On a shared 2-core x86-64 host, Z_2^8 (417,199 subgroups)
+# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.  The CLI checks
+# the predicted count against it before a census starts;
+# enumerate_subgroups_bruteforce stops once its running count passes it.
+CENSUS_SUBGROUP_BOUND = 500_000
+
 # byte b -> b with its eight bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -145,7 +153,9 @@ def enumerate_subgroups_bruteforce(
     order is a prime power is one part and needs no assembly.  Every member
     keeps at most arity generators: a part's subgroup has at most one per
     axis, and a sum's are the position-wise sums of its parts' (see
-    _direct_sums).  Every member but the trivial one costs one extend.
+    _direct_sums).  Every member but the trivial one costs one extend.  The
+    census stops with EnumerationCapExceeded once a part's running count, or
+    the count of the sums about to be built, passes CENSUS_SUBGROUP_BOUND.
 
     The result holds the bitsets, sorted by (order, sorted elements), and
     decodes them into FiniteSubgroups only when members is read; bit order is
@@ -163,6 +173,8 @@ def enumerate_subgroups_bruteforce(
     ]
     generators = parts[0] if parts else {1: ()}  # the trivial ring: bit 0 alone
     for part in parts[1:]:
+        if len(generators) * len(part) > CENSUS_SUBGROUP_BOUND:
+            raise _over_bound(len(generators) * len(part))
         generators = _direct_sums(eng, generators, part)
     nbytes = (ring.order + 7) // 8
 
@@ -210,6 +222,7 @@ def _primary_subgroups(
     most one per axis.
     """
     moduli, strides = eng.moduli, eng.strides
+    bound = CENSUS_SUBGROUP_BOUND
     scans: dict[int, int] = {}  # G[e] by e
     trivial = 1  # bit 0 == the zero element
     generators: dict[int, tuple[tuple[int, ...], ...]] = {trivial: ()}
@@ -240,12 +253,21 @@ def _primary_subgroups(
                         g = elements[d_index + c_index]
                         k_bits = eng.extend(parent, g, t)
                         generators[k_bits] = parent_gens + (g,)
+                        if len(generators) > bound:
+                            raise _over_bound(len(generators))
                         # exp(K) = max(exp(P), |<g>|), all powers of p
                         exponents[k_bits] = max(
                             exp_parent, *[n_i // gcd(x, n_i) for x, n_i in zip(g, moduli)]
                         )
                 t *= p
     return generators
+
+
+def _over_bound(count: int) -> EnumerationCapExceeded:
+    return EnumerationCapExceeded(
+        f"the census counts at least {count} subgroups, over the bound of "
+        f"{CENSUS_SUBGROUP_BOUND} subgroups per census"
+    )
 
 
 def _direct_sums(

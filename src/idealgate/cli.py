@@ -29,6 +29,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .census import (
+    CENSUS_SUBGROUP_BOUND,
     DEFAULT_CENSUS_CAP,
     census_ideal_count,
     count_ideals_pp,
@@ -49,12 +50,6 @@ from .lattice import IntMatrix, canonical_basis, is_ideal_zd, member
 from .probability import prob_nm, prob_vector_space
 
 CAP_ENV_VAR = "IDEALGATE_CAP"
-
-# Max subgroup count of a CLI census, fixed: its time and memory follow the
-# subgroup count (one extend and one bitset each), which the ring-order cap
-# does not bound.  On a shared 2-core x86-64 host, Z_2^8 (417,199 subgroups)
-# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.
-CENSUS_SUBGROUP_BOUND = 500_000
 
 # A handler returns its document and a zero-argument oracle that reruns the answer
 # by brute force and says whether it agrees; run() does the rest, once for all.

@@ -7,7 +7,11 @@ Z^k is the full-rank lattice L = span(g_j) + n1*e1 + ... + nk*ek.  H is an
 ideal exactly when L is (ideals of the quotient are the ideals containing the
 kernel), i.e. when the canonical basis of L is diagonal, and |H| is the index
 of n1*Z x ... x nk*Z in L, prod(n_i) / prod(pivots of L).  Neither needs the
-elements, so verdicts and orders are exact at any ring size.
+elements, so verdicts and orders are exact at any ring size.  The columns
+n_i*e_i are already an echelon basis of a sublattice of L, so they seed the
+echelon form, only the generators are inserted, and the result is reduced
+into the canonical basis (lattice._echelon_basis, which canonical_basis runs
+from an empty start).
 
 Apart from that core, closure() (materialize, --verify) and the census in
 census.py close subgroups on one bitset engine, _TranslationEngine.
@@ -25,7 +29,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exactarith import InvariantError, Record, additive_order, xgcd
-from .lattice import IntMatrix, LatticeBasis, canonical_basis, member
+from .lattice import IntMatrix, LatticeBasis, _echelon_basis, canonical_basis, member
 
 # Max ring order to materialize.  At the cap on a shared 2-core x86-64 host,
 # closure() builds all of Z_1000 x Z_1000 or Z_999983 in about 0.6 s (about
@@ -139,13 +143,14 @@ class FiniteSubgroup(Record):
 def _lifted_basis(subgroup: FiniteSubgroup) -> LatticeBasis:
     """Canonical basis of span(generators) + n1*e1 + ... + nk*ek in Z^k.
 
-    The lattice has full rank, so the basis is lower triangular and square.
+    The columns n_i*e_i are already an echelon basis with pivot row i, so
+    they seed the echelon form and only the generators are inserted.  The
+    lattice has full rank, so the basis is lower triangular and square.
     """
-    ring = subgroup.ring
-    moduli_columns = IntMatrix.diagonal(ring.moduli).columns()
-    return canonical_basis(
-        IntMatrix.from_columns(list(subgroup.generators) + moduli_columns, rows=ring.arity)
-    )
+    moduli = subgroup.ring.moduli
+    k = len(moduli)
+    seed = [[n if i == j else 0 for i in range(k)] for j, n in enumerate(moduli)]
+    return _echelon_basis(seed, list(range(k)), subgroup.generators, k)
 
 
 # bytes.translate table: the characters '0'/'1' of bin() to flags for

@@ -11,9 +11,9 @@ The paper's 2x2 criteria for Z x Z are theorems in paper.py.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import chain, compress, count
 from math import gcd, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactarith import InvariantError, Record, xgcd
 
@@ -48,7 +48,7 @@ class IntMatrix(Record):
             rows = len(columns[0])
         if any(len(col) != rows for col in columns):
             raise ValueError("ragged columns")
-        return cls(rows, len(columns), tuple(x for row in zip(*columns) for x in row))
+        return cls(rows, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -149,10 +149,12 @@ class LatticeBasis(Record):
         for j, p in enumerate(pivots):
             if j and p <= pivots[j - 1]:
                 raise ValueError("pivot rows must strictly increase")
-            pivot = self.matrix.at(p, j)
+            row = matrix.row(p)
+            pivot = row[j]
             if pivot <= 0:
                 raise ValueError("pivots must be positive")
-            if any(not 0 <= self.matrix.at(p, j2) < pivot for j2 in range(j)):
+            left = row[:j]
+            if left and (min(left) < 0 or max(left) >= pivot):
                 raise ValueError("entries left of a pivot must be reduced into [0, pivot)")
 
     @property
@@ -162,8 +164,8 @@ class LatticeBasis(Record):
     def pivot_rows(self) -> tuple[int, ...]:
         out = []
         for j in range(self.matrix.cols):
-            col = self.matrix.column(j)
-            p = next((i for i, v in enumerate(col) if v), None)
+            # the index of the first nonzero entry of column j
+            p = next(compress(count(), self.matrix.column(j)), None)
             if p is None:
                 raise ValueError("zero column in a basis")
             out.append(p)
@@ -179,13 +181,19 @@ class LatticeBasis(Record):
 
 def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], dim: int) -> None:
     # Echelon insertion: combine vec against existing pivots until it dies or
-    # lands in a free pivot row.  Keeps pivot rows sorted.
+    # lands in a free pivot row.  Keeps pivot rows sorted.  Each combination
+    # clears vec[lead] and touches only rows at or below it, so the lead and
+    # its place k among the pivots only move forward.
+    lead = k = 0
+    rank = len(pivots)
     while True:
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
+        while lead < dim and not vec[lead]:
+            lead += 1
+        if lead == dim:
             return
-        k = bisect_left(pivots, lead)
-        if k == len(pivots) or pivots[k] != lead:
+        while k < rank and pivots[k] < lead:
+            k += 1
+        if k == rank or pivots[k] != lead:
             basis.insert(k, vec)
             pivots.insert(k, lead)
             return
@@ -204,17 +212,19 @@ def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], di
                 vec[i] = au * ci - cu * ai
 
 
-def canonical_basis(generators: IntMatrix) -> LatticeBasis:
-    """Canonical basis of the integer column span of the generator matrix.
+def _echelon_basis(
+    basis: list[list[int]], pivots: list[int], columns: Iterable[Sequence[int]], dim: int
+) -> LatticeBasis:
+    """Canonical basis of the span of an echelon start and further columns.
 
-    Any generating set (including redundant or zero columns) yields the same
-    basis, so results are directly comparable.
+    basis holds the start's columns (length dim, modified in place) and
+    pivots their pivot rows, strictly increasing: each column is zero above
+    its pivot row and nonzero there.  The columns are inserted, then every
+    pivot is made positive and the entries left of it reduced into
+    [0, pivot).
     """
-    dim = generators.rows
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for j in range(generators.cols):
-        _insert_column(basis, pivots, list(generators.column(j)), dim)
+    for vec in columns:
+        _insert_column(basis, pivots, list(vec), dim)
     for col, p in zip(basis, pivots):
         if col[p] < 0:
             for i in range(p, dim):
@@ -228,6 +238,15 @@ def canonical_basis(generators: IntMatrix) -> LatticeBasis:
                 for i in range(p, dim):
                     basis[j2][i] -= q * basis[j][i]
     return LatticeBasis(dim, IntMatrix.from_columns(basis, rows=dim))
+
+
+def canonical_basis(generators: IntMatrix) -> LatticeBasis:
+    """Canonical basis of the integer column span of the generator matrix.
+
+    Any generating set (including redundant or zero columns) yields the same
+    basis, so results are directly comparable.
+    """
+    return _echelon_basis([], [], generators.columns(), generators.rows)
 
 
 def member(v: Sequence[int], basis: LatticeBasis) -> bool:

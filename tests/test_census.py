@@ -7,6 +7,7 @@ import pytest
 
 from idealgate import cli
 from idealgate.census import (
+    CENSUS_SUBGROUP_BOUND,
     SubgroupSet,
     census_ideal_count,
     count_ideals_pp,
@@ -388,6 +389,19 @@ def test_census_deterministic_order():
 def test_census_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_subgroups_bruteforce(ProductRing((101, 101)), max_order=10_000)
+
+
+def test_census_stops_at_the_subgroup_bound(monkeypatch):
+    # Z_2^6 has 2825 subgroups, one primary part; Z_6 x Z_6 has 5 * 6 = 30,
+    # as the direct sums of its 2- and 3-parts.  The CLI checks the same bound
+    assert cli.CENSUS_SUBGROUP_BOUND is CENSUS_SUBGROUP_BOUND
+    for moduli, count in (((2,) * 6, 2825), ((6, 6), 30)):
+        ring = ProductRing(moduli)
+        monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", count)
+        assert len(enumerate_subgroups_bruteforce(ring)) == count
+        monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", count - 1)
+        with pytest.raises(EnumerationCapExceeded, match=f"at least {count} subgroups"):
+            enumerate_subgroups_bruteforce(ring)
 
 
 def test_subgroup_set_rejects_duplicates():

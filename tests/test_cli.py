@@ -187,6 +187,18 @@ def test_large_censuses_exit_3_within_seconds():
         assert f"{count} subgroups" in proc.stderr
 
 
+def test_prob_on_a_square_of_a_large_prime():
+    # 811612729801**2: trial division to the prime would run for hours
+    proc = subprocess.run(
+        [sys.executable, "-m", "idealgate", "prob", "--n", "658715223175031033499601", "--m", "1"],
+        capture_output=True, text=True, env=ENV, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["counts"] == {"subgroups": 3, "ideals": 3}
+    assert doc["probability"] == {"num": 1, "den": 1}
+
+
 def test_zn_decided_beyond_cap(capsys):
     # verdicts and orders never enumerate, so the cap binds only the oracle
     args = ("--moduli", "101,103,107", "--gens", "1,0,0;0,1,0;0,0,1", "--cap", "1000")

@@ -2,7 +2,7 @@
 
 import random
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -12,13 +12,15 @@ from idealgate.finite import (
     FiniteSubgroup,
     KernelLattice,
     ProductRing,
+    _lifted_basis,
     closure,
     general_is_ideal,
     kernel_lattice,
     twogen_is_ideal,
 )
-from idealgate.lattice import IntMatrix, member
+from idealgate.lattice import IntMatrix, canonical_basis, member
 from idealgate.paper import cyclic_is_ideal, kernel_sum_order_mod_lcm, subgroup_order_two_gen
+from closure_oracle import tuple_closure
 
 
 # === ring and subgroup plumbing ===
@@ -339,6 +341,49 @@ def test_lattice_core_matches_closure_and_bruteforce():
         )
         sub = FiniteSubgroup(ring, gens)
         elements = closure(ring, gens)
+        assert sub.order() == len(elements), (moduli, gens)
+        verdict = general_is_ideal(sub)
+        assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
+        ideals += verdict
+    assert 300 < ideals < 3000 - 300  # both verdicts well represented
+
+
+def test_lifted_basis_equals_canonical_basis_of_generators_and_moduli():
+    # the seeded echelon start n_i*e_i gives the basis that inserting every
+    # column of the generator-plus-moduli matrix from an empty start gives
+    rng = random.Random(1515)
+    pool = (1, 2, 3, 4, 6, 12, 97, 1024, 10**6 + 3, 2**61 - 1, 2**60 + 2**31, 3**37)
+    for _ in range(2000):
+        moduli = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        ring = ProductRing(moduli)
+        gens = [
+            [rng.randrange(-2 * n, 2 * n) if rng.random() < 0.8 else 0 for n in moduli]
+            for _ in range(rng.randint(0, ring.arity))
+        ]
+        sub = FiniteSubgroup(ring, gens)
+        diagonal = [[n if i == j else 0 for i in range(ring.arity)] for j, n in enumerate(moduli)]
+        expected = canonical_basis(IntMatrix.from_columns(list(sub.generators) + diagonal))
+        assert _lifted_basis(sub) == expected, (moduli, gens)
+
+
+def test_order_and_verdict_match_tuple_closure_oracle():
+    # tuple closure and the idempotent predicate share no code with the lattice
+    # core or the bitset engine
+    rng = random.Random(1516)
+    pool = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32, 64)
+    ideals = 0
+    for _ in range(3000):
+        while True:
+            moduli = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            if prod(moduli) <= 4096:
+                break
+        ring = ProductRing(moduli)
+        gens = tuple(
+            tuple(rng.randrange(n) if rng.random() < 0.8 else 0 for n in moduli)
+            for _ in range(rng.randint(0, ring.arity))
+        )
+        sub = FiniteSubgroup(ring, gens)
+        elements = tuple_closure(ring, gens)
         assert sub.order() == len(elements), (moduli, gens)
         verdict = general_is_ideal(sub)
         assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
