@@ -7,9 +7,9 @@ the base of the value classes of every layer, lives here too.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import attrgetter
+from typing import Iterable
 
 
 class Record:
@@ -73,119 +73,109 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial-division factorization of n >= 1 as (prime, exponent) pairs, primes ascending.
 
-    factorize(1) == [] (empty product).  Before the loop and after each prime
-    factor is divided out, the unfactored part is factored at once when it is
-    a prime below 3317044064679887385961981 (one is_prime: Miller-Rabin with
-    the first k bases, as many as its size needs) or a perfect power r**k:
-    a square (math.isqrt), or a k-th power for a prime k >= 3 whose root has
-    more than _ROOT_CHECK_BITS bits (an integer Newton root); the root is
-    factored recursively.  So a prime power p**k costs a few roots and one
-    is_prime at any size of p, for k = 2 or p >= 2**_ROOT_CHECK_BITS.  A part
-    with a prime factor up to 41 skips both checks (one gcd), and a huge
-    part without one pays a residue test per prime k up to its bit length
-    / 16 (see _power_root).  Otherwise reaching a prime factor p takes
-    about p/2 divisions, and the loop stops once the unfactored part is below
-    d*d: the cost follows the second largest prime factor of n, counted with
-    multiplicity.  A product p*q of two large primes p < q still takes about
-    p/2 divisions, with no bound.
+    factorize(1) == [] (empty product).  The loop stops once the unfactored
+    part is below d*d or is a prime below 3317044064679887385961981 (checked
+    by is_prime before the loop and after each prime factor is divided out:
+    Miller-Rabin with the first k bases, as many as its size needs), or is a
+    perfect power r**k, whose root is then factored recursively.  Powers are
+    looked for each time d reaches a power of two from 2**8 on (see
+    _power_root): squares (math.isqrt), and k-th powers for the primes
+    k >= 3 up to d / 2**12 (an integer Newton root each).  So a root is
+    taken at most once per 2**7 divisions, and from k = 3 on at most once
+    per 2**10; numbers whose prime factors are all below 2**8 take none.
+    At any size of p, p**2 times primes below q costs at most max(q, 2**7)
+    divisions, p**3 about 2**13, and p**k at most k * 2**12.
+    Otherwise reaching a prime factor p takes about p/2 divisions: the cost
+    follows the second largest prime factor of n, counted with multiplicity.
+    A product p*q of two large primes p < q still takes about p/2
+    divisions, with no bound.
     """
     if n <= 0:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    factors: list[tuple[int, int]] = []
-    d = 2
-    if not _factor_at_once(n, factors):
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                factors.append((d, e))
-                if _factor_at_once(n, factors):
-                    break
-            d += 1 if d == 2 else 2
-        else:
-            if n > 1:
-                factors.append((n, 1))
-    return factors
-
-
-def _factor_at_once(n: int, factors: list[tuple[int, int]]) -> bool:
-    """Append the factorization of n to factors without trial division when n
-    is 1, a prime below the Miller-Rabin bound or a perfect power that
-    _power_root finds (its root factored recursively), and say whether it did.
-
-    An n with a prime factor up to 41, found by one gcd, is prime only if it
-    is that factor; otherwise trial division reaches the factor within 20
-    divisions, so n is left to it without a power check.  At or above the
-    bound is_prime proves a prime only by trial division itself, so it is not
-    asked there.
-    """
     if n == 1:
-        return True
-    if gcd(n, _SMALL_PRIMES_PRODUCT) > 1:
-        if n <= 41 and is_prime(n):
+        return []
+    if _is_prime_below_bound(n):
+        return [(n, 1)]
+    factors: list[tuple[int, int]] = []
+    divisors: Iterable[int] = _FIRST_DIVISORS
+    d = _POWER_CHECKS_FROM
+    while True:
+        n = _trial_divide(n, divisors, factors)
+        if n == 1:
+            return factors
+        root = _power_root(n, d)  # n has no prime factor below d
+        if root is not None:
+            r, k = root
+            factors.extend((p, e * k) for p, e in factorize(r))
+            return factors
+        divisors = range(d + 1, 2 * d, 2)
+        d *= 2
+
+
+_POWER_CHECKS_FROM = 1 << 8
+_FIRST_DIVISORS = (2, *range(3, _POWER_CHECKS_FROM, 2))
+
+
+def _trial_divide(n: int, divisors: Iterable[int], factors: list[tuple[int, int]]) -> int:
+    """Divide n > 1, which has no prime factor below the first of the
+    ascending divisors, by each in turn, appending the prime factors found,
+    until the rest is 1 or provably prime (appended too); return that rest:
+    1 once n is factored, else the part left when divisors run out."""
+    for d in divisors:
+        if d * d > n:
             factors.append((n, 1))
-            return True
-        return False
-    if n < _MILLER_RABIN_EXACT_BELOW and is_prime(n):
-        factors.append((n, 1))
-        return True
-    root = _power_root(n)
-    if root is None:
-        return False
-    r, k = root
-    factors.extend((p, e * k) for p, e in factorize(r))
-    return True
+            return 1
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+            if n == 1:
+                return 1
+            if _is_prime_below_bound(n):
+                factors.append((n, 1))
+                return 1
+    return n
 
 
-# Trial division reaches a root below 2**16 within 2**15 divisions (about 6 ms
-# on a shared 2-core x86-64 host), so k-th powers for k >= 3 are looked for
-# only where the root has more bits than this.  Below 2**48 that leaves the
-# square check alone, about 0.1 us (math.isqrt).
-_ROOT_CHECK_BITS = 16
+def _is_prime_below_bound(n: int) -> bool:
+    """n is prime and below the Miller-Rabin bound.  At or above the bound
+    is_prime proves a prime only by trial division itself, so it is not asked
+    there."""
+    return n < _MILLER_RABIN_EXACT_BELOW and is_prime(n)
 
 
-def _power_root(n: int) -> tuple[int, int] | None:
-    """(r, k) with n == r**k, for n >= 2 a perfect square (k = 2) or a perfect
-    k-th power for a prime k >= 3 with r >= 2**_ROOT_CHECK_BITS, the least
-    such k; else None.
-
-    A k-th power r**k is 0 or a k-th power residue modulo every prime
-    q = 1 mod k, i.e. (r**k)**((q-1)/k) = r**(q-1) is 0 or 1 mod q, while other
-    numbers fail that at one of three such q about 1 - 1/k**3 of the time; so
-    an integer root is taken only after all three pass.
-    """
+def _power_root(n: int, d: int) -> tuple[int, int] | None:
+    """(r, k) with n == r**k for n >= 2 without a prime factor below d >= 2:
+    a square (k = 2), or a k-th power for the least prime k from 3 to d >> 12
+    with one; else None.  factorize calls it at d = 2**j after trial division
+    from 2**(j-1), i.e. after d/4 divisions, so besides the square root it
+    takes at most one root per 2**10 of them."""
     r = isqrt(n)
     if r * r == n:
         return r, 2
-    for k in range(3, (n.bit_length() - 1) // _ROOT_CHECK_BITS + 1, 2):
-        moduli = _residue_moduli(k)
-        if moduli and all(pow(n % q, (q - 1) // k, q) <= 1 for q in moduli):
+    # r >= d, so n has at least k * (d.bit_length() - 1) + 1 bits
+    k_max = min(d >> 12, (n.bit_length() - 1) // (d.bit_length() - 1))
+    for k in range(3, k_max + 1, 2):
+        if is_prime(k):
             r = _integer_root(n, k)
             if r**k == n:
                 return r, k
     return None
 
 
-@lru_cache(maxsize=None)
-def _residue_moduli(k: int) -> tuple[int, ...]:
-    """The three least primes q = 1 mod 2k for an odd prime k; () for a
-    composite k, whose powers are powers for its least prime factor."""
-    if not is_prime(k):
-        return ()
-    found = []
-    q = 1
-    while len(found) < 3:
-        q += 2 * k
-        if is_prime(q):
-            found.append(q)
-    return tuple(found)
-
-
 def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1 and k >= 2, by integer Newton steps from above."""
-    r = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) > n ** (1/k)
+    """floor(n ** (1/k)) for n >= 1 and k >= 2, by integer Newton steps from
+    above, started from the root of the leading bits of n, which holds the
+    upper half of the root's m bits; so a few steps suffice at any k, where
+    starting from 2**m could take about k of them."""
+    m = -(-n.bit_length() // k)  # the root is below 2**m
+    if m <= 1:
+        return 1
+    t = m // 2
+    # n >> (k*t) < (s + 1)**k, so n < ((s + 1) << t)**k
+    r = (_integer_root(n >> (k * t), k) + 1) << t
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
         if s >= r:
@@ -204,7 +194,6 @@ _MILLER_RABIN_PSI = (
     3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
 )
 _MILLER_RABIN_EXACT_BELOW = _MILLER_RABIN_PSI[-1]
-_SMALL_PRIMES_PRODUCT = prod(_MILLER_RABIN_BASES)
 
 
 def is_prime(n: int) -> bool:

@@ -129,39 +129,43 @@ def test_factorize_prime_powers_at_once():
     assert is_prime(p) and p * p < exactarith._MILLER_RABIN_EXACT_BELOW
     for n, factors in (
         (p**2, [(p, 2)]),
-        (p**3, [(p, 3)]),  # above the Miller-Rabin bound: a cube root
+        (p**3, [(p, 3)]),  # above the Miller-Rabin bound: a cube root at d = 2**14
         (3 * p**2, [(3, 1), (p, 2)]),  # the square is the cofactor after 3
         (2**5 * 7 * p**2, [(2, 5), (7, 1), (p, 2)]),
         (p**6, [(p, 6)]),  # a square of a cube
         ((2**61 - 1) ** 5, [(2**61 - 1, 5)]),
+        (1009 * p**13, [(1009, 1), (p, 13)]),  # a 13th root at d = 2**16
     ):
         assert factorize(n) == factors, n
-    # the same shapes where the trial-division oracle finishes: p**k whose root
-    # lies on either side of the 2**16 limit of the k >= 3 root check
-    for q in (65521, 65537, 1000003):
+    # the same shapes where the trial-division oracle finishes: roots on
+    # either side of the checkpoints 2**14 and 2**16
+    for q in (16381, 16411, 65521, 65537, 1000003):
         for n in (q**2, q**3, 3 * q**2, 5 * q**3, q**5, 2**3 * q**2 * 17):
             assert factorize(n) == trial_division_factorize(n), n
 
 
 def test_factorize_roots_are_exact():
-    # a power's neighbours are not powers, and every prime k up to the bit
-    # bound is tried
+    # a power's neighbours are not powers
     assert exactarith._integer_root(2**64, 2) == 2**32
-    for k in (2, 3, 5, 7, 11, 97, 211):
-        for r in (2**16 + 1, 10**6 + 3, 2**61 - 1):
+    for k in range(2, 40):
+        for n in range(1, 1100):
+            r = exactarith._integer_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+    for k in (2, 3, 5, 7, 11, 97, 211, 1009):
+        for r in (2, 3, 2**16 + 1, 10**6 + 3, 2**61 - 1):
             n = r**k
             assert exactarith._integer_root(n, k) == r
             assert exactarith._integer_root(n - 1, k) == r - 1
             assert exactarith._integer_root(n + 1, k) == r
-            assert exactarith._power_root(n) == (r, k)
-            assert exactarith._power_root(n + 2) is None
-    # the residue test's moduli: primes q = 1 mod 2k, none for a composite k
-    for k in range(3, 300, 2):
-        moduli = exactarith._residue_moduli(k)
-        if is_prime(k):
-            assert len(moduli) == 3 and all(is_prime(q) and q % (2 * k) == 1 for q in moduli)
-        else:
-            assert moduli == ()
+    # _power_root at d, the greatest power of two up to the root, finds
+    # squares, and k-th powers for a prime k >= 3 once k <= d >> 12
+    for k in (2, 3, 5, 7, 11, 97, 211):
+        for r in (2**16 + 1, 10**6 + 3, 2**61 - 1):
+            d = 1 << (r.bit_length() - 1)
+            n = r**k
+            expected = (r, k) if k == 2 or k <= d >> 12 else None
+            assert exactarith._power_root(n, d) == expected, (r, k)
+            assert exactarith._power_root(n + 2, d) is None
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

@@ -330,17 +330,24 @@ def test_general_decides_at_any_ring_size():
 
 
 def test_lattice_core_matches_closure_and_bruteforce():
+    # tuple closure and the idempotent predicate share no code with the lattice
+    # core or the bitset engine
     rng = random.Random(4242)
+    pool = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32, 64)
     ideals = 0
     for _ in range(3000):
-        moduli = tuple(rng.choice((1, 2, 4, 6, 8, 9)) for _ in range(rng.randint(1, 4)))
+        while True:
+            moduli = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            if prod(moduli) <= 4096:
+                break
         ring = ProductRing(moduli)
         gens = tuple(
             tuple(rng.randrange(n) if rng.random() < 0.8 else 0 for n in moduli)
             for _ in range(rng.randint(0, ring.arity))
         )
         sub = FiniteSubgroup(ring, gens)
-        elements = closure(ring, gens)
+        elements = tuple_closure(ring, gens)
+        assert closure(ring, gens) == elements, (moduli, gens)
         assert sub.order() == len(elements), (moduli, gens)
         verdict = general_is_ideal(sub)
         assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
@@ -364,31 +371,6 @@ def test_lifted_basis_equals_canonical_basis_of_generators_and_moduli():
         diagonal = [[n if i == j else 0 for i in range(ring.arity)] for j, n in enumerate(moduli)]
         expected = canonical_basis(IntMatrix.from_columns(list(sub.generators) + diagonal))
         assert _lifted_basis(sub) == expected, (moduli, gens)
-
-
-def test_order_and_verdict_match_tuple_closure_oracle():
-    # tuple closure and the idempotent predicate share no code with the lattice
-    # core or the bitset engine
-    rng = random.Random(1516)
-    pool = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32, 64)
-    ideals = 0
-    for _ in range(3000):
-        while True:
-            moduli = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
-            if prod(moduli) <= 4096:
-                break
-        ring = ProductRing(moduli)
-        gens = tuple(
-            tuple(rng.randrange(n) if rng.random() < 0.8 else 0 for n in moduli)
-            for _ in range(rng.randint(0, ring.arity))
-        )
-        sub = FiniteSubgroup(ring, gens)
-        elements = tuple_closure(ring, gens)
-        assert sub.order() == len(elements), (moduli, gens)
-        verdict = general_is_ideal(sub)
-        assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
-        ideals += verdict
-    assert 300 < ideals < 3000 - 300  # both verdicts well represented
 
 
 def test_closure_contained_in_projection_product():
