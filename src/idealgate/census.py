@@ -3,8 +3,8 @@ ideal oracle, and the subgroup and ideal counting formulas of Z_{p^r} x Z_{p^s}
 (exact integer division).  The paper's Goursat 5-tuple enumeration of those
 subgroups is a theorem in paper.py; tests check it against this census.
 
-The enumerator runs on the bitset engine of finite.py, the one closure()
-uses.  It enumerates each primary component G_p of the ring once and
+The enumerator runs on the bitset engine of finite.py, the one the CLI's
+--verify uses.  It enumerates each primary component G_p of the ring once and
 assembles the ring's subgroups as the direct sums of theirs: every subgroup
 is the direct sum of its intersections with the G_p.  Inside G_p
 every subgroup K != 0 has one first-axis parent P, its elements that are zero
@@ -13,8 +13,8 @@ g + P with g zero before axis j; the docstring of _primary_subgroups shows
 that (P, g + P) determines K and that every such pair gives a subgroup, so
 each subgroup is closed exactly once, from its parent, without any counting
 formula.  The census keeps each subgroup as its bitset: its size and the
-ideal tally read the bits, and the element sets are decoded only on first
-use.
+ideal tally read the bits (_is_ideal_bits, shared with --verify), and the
+element sets are decoded only on first use.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class SubgroupSet(Record):
     def __len__(self) -> int:
         return len(self.bitsets)
 
+    # The tuple reference: only perfbench and the tests read it.
     @cached_property
     def members(self) -> tuple[FiniteSubgroup, ...]:
         elements = list(self.ring.elements())
@@ -132,9 +133,6 @@ class SubgroupSet(Record):
             FiniteSubgroup(self.ring, gens, _members(bits, elements))
             for bits, gens in zip(self.bitsets, self.generators)
         )
-
-    def element_sets(self) -> set[frozenset[tuple[int, ...]]]:
-        return {m.elements for m in self.members}
 
 
 def enumerate_subgroups_bruteforce(
@@ -310,6 +308,7 @@ def _direct_sums(
     return sums
 
 
+# The tuple reference of _is_ideal_bits: only perfbench and the tests call it.
 def is_ideal_bruteforce(subgroup: FiniteSubgroup) -> bool:
     """Independent ideal oracle: every coordinate-idempotent multiple of every
     generator stays in the subgroup.
@@ -329,15 +328,13 @@ def is_ideal_bruteforce(subgroup: FiniteSubgroup) -> bool:
     )
 
 
-def census_ideal_count(census: SubgroupSet) -> int:
-    """Number of census members that pass the brute-force ideal oracle.
+def _is_ideal_bits(bits: int, generators: tuple[tuple[int, ...], ...], strides: list[int]) -> bool:
+    """The predicate of is_ideal_bruteforce on the engine's bitset: the projection
+    of a reduced generator g onto axis i is the element with index g_i * strides[i]."""
+    return all(bits >> (x * s) & 1 for g in generators for x, s in zip(g, strides))
 
-    The predicate of is_ideal_bruteforce, read off the bits: the projection of
-    a generator g onto axis i is the element with index g_i * strides[i].
-    """
+
+def census_ideal_count(census: SubgroupSet) -> int:
+    """Number of census members that pass the brute-force ideal oracle."""
     strides = _strides(census.ring.moduli)
-    return sum(
-        1
-        for bits, gens in zip(census.bitsets, census.generators)
-        if all(bits >> (x * s) & 1 for g in gens for x, s in zip(g, strides))
-    )
+    return sum(_is_ideal_bits(bits, gens, strides) for bits, gens in zip(census.bitsets, census.generators))

@@ -9,8 +9,8 @@ under --verify or a failed exactness invariant (never happens in a correct
 build).  Only a computed document reaches stdout; every error is one "error:"
 line on stderr.
 
---cap, else $IDEALGATE_CAP, bounds the ring order that --verify materializes
-for ideal zn and order (default 10^6), and the ring order that census, prob
+--cap, else $IDEALGATE_CAP, bounds the ring order that --verify closes for
+ideal zn and order (default 10^6), and the ring order that census, prob
 and verify census by brute force (default 10^4).  ideal zd reads no cap, but
 every subcommand, ideal zd too, exits 2 on a cap that is not a positive integer.
 A census also exits 3 before it starts when the formulas predict more than
@@ -31,16 +31,18 @@ from typing import Callable, Sequence
 from .census import (
     CENSUS_SUBGROUP_BOUND,
     DEFAULT_CENSUS_CAP,
+    _is_ideal_bits,
     census_ideal_count,
     count_ideals_pp,
     count_subgroups_closed,
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
-    is_ideal_bruteforce,
 )
 from .exactarith import InvariantError, require_prime
 from .finite import (
     DEFAULT_MATERIALIZE_CAP,
+    _closure_bits,
+    _strides,
     EnumerationCapExceeded,
     FiniteSubgroup,
     ProductRing,
@@ -209,17 +211,17 @@ def _handle_ideal_zd(args: argparse.Namespace, cap: None) -> _Answer:
 
 def _handle_ideal_zn(args: argparse.Namespace, cap: int) -> _Answer:
     subgroup = _subgroup(args)
+    ring, gens = subgroup.ring, subgroup.generators
     ideal = general_is_ideal(subgroup)
-    verdict = "ideal" if ideal else "not_ideal"
-    doc = _doc("ideal zn", {"kind": "zn", "moduli": list(subgroup.ring.moduli)}, subgroup.generators, verdict)
-    return doc, lambda: is_ideal_bruteforce(subgroup.materialize(cap=cap)) == ideal
+    doc = _doc("ideal zn", {"kind": "zn", "moduli": list(ring.moduli)}, gens, "ideal" if ideal else "not_ideal")
+    return doc, lambda: _is_ideal_bits(_closure_bits(ring, gens, cap), gens, _strides(ring.moduli)) == ideal
 
 
 def _handle_order(args: argparse.Namespace, cap: int) -> _Answer:
     subgroup = _subgroup(args)
     value = subgroup.order()
     doc = _doc("order", {"kind": "zn", "moduli": list(subgroup.ring.moduli)}, subgroup.generators, value)
-    return doc, lambda: len(subgroup.materialize(cap=cap).elements) == value
+    return doc, lambda: _closure_bits(subgroup.ring, subgroup.generators, cap).bit_count() == value
 
 
 def _handle_census(args: argparse.Namespace, cap: int) -> _Answer:
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"max ring order to enumerate: what --verify materializes in ideal zn and order "
+        help=f"max ring order to enumerate: what --verify closes in ideal zn and order "
         f"(default {DEFAULT_MATERIALIZE_CAP}), a census in census, prob and verify (default "
         f"{DEFAULT_CENSUS_CAP}); ideal zd reads none; ${CAP_ENV_VAR} is the fallback",
     )

@@ -13,7 +13,7 @@ echelon form, only the generators are inserted, and the result is reduced
 into the canonical basis (lattice._echelon_basis, which canonical_basis runs
 from an empty start).
 
-Apart from that core, closure() (materialize, --verify) and the census in
+Apart from that core, the CLI's --verify (_closure_bits) and the census in
 census.py close subgroups on one bitset engine, _TranslationEngine.
 
 The paper's criteria for Z_n x Z_m are theorems in paper.py.  The kernel
@@ -31,9 +31,10 @@ from typing import Iterable, Iterator, Sequence
 from .exactarith import InvariantError, Record, additive_order, xgcd
 from .lattice import IntMatrix, LatticeBasis, _echelon_basis, canonical_basis, member
 
-# Max ring order to materialize.  At the cap on a shared 2-core x86-64 host,
-# closure() builds all of Z_1000 x Z_1000 or Z_999983 in about 0.6 s (about
-# 120-140 MiB peak, mostly element tuples), a subgroup of order <= 100 in < 0.1 s.
+# Max ring order to close, for --verify on ideal zn and order and for
+# materialize.  At the cap on a shared 2-core x86-64 host, --verify closes all
+# of Z_1000 x Z_1000 or Z_999983 on bits in about 0.1 s and 18-21 MiB per
+# process; materialize builds their element tuples in 0.6-0.7 s (115-136 MiB).
 DEFAULT_MATERIALIZE_CAP = 10**6
 
 
@@ -122,14 +123,11 @@ class FiniteSubgroup(Record):
         object.__setattr__(self, "generators", reduced)
         object.__setattr__(self, "elements", elements)
 
+    # The tuple reference: only perfbench and the tests call it.
     def materialize(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> "FiniteSubgroup":
         if self.elements is not None:
             return self
-        if self.ring.order > cap:
-            raise EnumerationCapExceeded(
-                f"ring order {self.ring.order} exceeds the enumeration cap {cap}"
-            )
-        return FiniteSubgroup(self.ring, self.generators, closure(self.ring, self.generators))
+        return FiniteSubgroup(self.ring, self.generators, closure(self.ring, self.generators, cap))
 
     def order(self) -> int:
         """Subgroup order: the element count when materialized, else the index
@@ -267,14 +265,26 @@ class _TranslationEngine:
         return bits
 
 
-def closure(ring: ProductRing, generators: Sequence[Sequence[int]]) -> frozenset[tuple[int, ...]]:
-    """Additive closure of the generators (contains zero, closed under + and -):
-    bit 0, the zero element, extended by each generator on the bitset engine."""
+def _closure_bits(ring: ProductRing, generators: Sequence[Sequence[int]], cap: int | None = None) -> int:
+    """Additive closure of the generators as the engine's bitset: bit 0, the
+    zero element, extended by each generator.  The cap bounds the ring order,
+    for materialize and the CLI's --verify alike."""
+    if cap is not None and ring.order > cap:
+        raise EnumerationCapExceeded(f"ring order {ring.order} exceeds the enumeration cap {cap}")
     engine = _TranslationEngine(ring)
     bits = 1
     for g in generators:
         bits = engine.extend(bits, ring.reduce(g))
-    return _members(bits, ring.elements())
+    return bits
+
+
+# The tuple reference: only perfbench, the tests and paper.py call it.
+def closure(
+    ring: ProductRing, generators: Sequence[Sequence[int]], cap: int | None = None
+) -> frozenset[tuple[int, ...]]:
+    """Additive closure of the generators (contains zero, closed under + and -),
+    decoded from _closure_bits."""
+    return _members(_closure_bits(ring, generators, cap), ring.elements())
 
 
 # Kernel lattices for the paper's Z_n x Z_m criteria.  They stay here, not in

@@ -50,3 +50,8 @@ def is_ideal_set(ring, elements):
     idempotent; these generate the ring additively, so this is r*h in H for
     every ring element r and every h in H."""
     return all(ring.project(h, i) in elements for h in elements for i in range(ring.arity))
+
+
+def element_sets(census):
+    """The census members' element sets, decoded from their bits."""
+    return {member.elements for member in census.members}

@@ -9,6 +9,7 @@ from idealgate import cli
 from idealgate.census import (
     CENSUS_SUBGROUP_BOUND,
     SubgroupSet,
+    _is_ideal_bits,
     census_ideal_count,
     count_ideals_pp,
     count_subgroups_closed,
@@ -21,6 +22,8 @@ from idealgate.finite import (
     FiniteSubgroup,
     ProductRing,
     _TranslationEngine,
+    _closure_bits,
+    _strides,
     closure,
 )
 from idealgate.paper import (
@@ -29,7 +32,13 @@ from idealgate.paper import (
     tuple_from_subgroup,
     tuple_to_subgroup,
 )
-from closure_oracle import is_ideal_exhaustive, is_ideal_set, layered_tuple_closures, tuple_closure
+from closure_oracle import (
+    element_sets,
+    is_ideal_exhaustive,
+    is_ideal_set,
+    layered_tuple_closures,
+    tuple_closure,
+)
 
 
 # === classifying tuples ===
@@ -199,7 +208,9 @@ def test_translation_engine_extend_is_closure():
 
 
 def test_closure_and_materialize_match_tuple_closure():
-    # seeded subgroups of arity 1-4, with modulus-1 axes among the factors
+    # seeded subgroups of arity 1-4, with modulus-1 axes among the factors;
+    # the bit oracle of --verify (closure bits, their count and the ideal
+    # predicate the census shares) against the tuple oracle
     rng = random.Random(3000)
     for _ in range(3000):
         arity = rng.randint(1, 4)
@@ -209,7 +220,12 @@ def test_closure_and_materialize_match_tuple_closure():
         gens = [tuple(rng.randrange(n) for n in moduli) for _ in range(rng.randint(0, arity))]
         expected = tuple_closure(ring, gens)
         assert closure(ring, gens) == expected, (moduli, gens)
-        assert FiniteSubgroup(ring, gens).materialize().elements == expected, (moduli, gens)
+        sub = FiniteSubgroup(ring, gens).materialize()
+        assert sub.elements == expected, (moduli, gens)
+        bits = _closure_bits(ring, sub.generators)
+        assert bits.bit_count() == len(sub.elements), (moduli, gens)
+        ideal = _is_ideal_bits(bits, sub.generators, _strides(moduli))
+        assert ideal == is_ideal_bruteforce(sub), (moduli, gens)
 
 
 def test_translation_engine_torsion():
@@ -231,7 +247,7 @@ def test_translation_engine_torsion():
 
 def test_census_z2z2_exact_subgroups():
     census = enumerate_subgroups_bruteforce(ProductRing((2, 2)))
-    assert census.element_sets() == {
+    assert element_sets(census) == {
         frozenset({(0, 0)}),
         frozenset({(0, 0), (1, 0)}),
         frozenset({(0, 0), (0, 1)}),
@@ -259,7 +275,7 @@ def test_census_matches_naive_all_tuples_closure():
             for gens in product(elems, repeat=size):
                 naive.add(tuple_closure(ring, gens))
         census = enumerate_subgroups_bruteforce(ring)
-        assert census.element_sets() == naive
+        assert element_sets(census) == naive
 
 
 def _count_extensions(monkeypatch):
@@ -295,7 +311,7 @@ def _check_against_layered_closure(ring, calls):
     calls.clear()
     census = enumerate_subgroups_bruteforce(ring)
     expected = layered_tuple_closures(ring)
-    assert census.element_sets() == expected, ring.moduli
+    assert element_sets(census) == expected, ring.moduli
     keys = [(len(sub.elements), sorted(sub.elements)) for sub in census.members]
     assert keys == sorted(keys), ring.moduli
     # one closure per nontrivial member: in each primary part from its
@@ -440,7 +456,7 @@ def test_goursat_bijection_small():
                 ring = ProductRing((p**r, p**s))
                 census = enumerate_subgroups_bruteforce(ring)
                 tuples = enumerate_goursat_tuples(p, r, s)
-                assert {tuple_to_subgroup(t).elements for t in tuples} == census.element_sets()
+                assert {tuple_to_subgroup(t).elements for t in tuples} == element_sets(census)
 
 
 def test_coprime_moduli_subgroups_split_as_products():
@@ -455,7 +471,7 @@ def test_coprime_moduli_subgroups_split_as_products():
         # the census enumerates each primary part and joins them, so the split
         # holds by construction; the tuple oracle knows nothing of parts
         expected = layered_tuple_closures(census.ring)
-        assert census.element_sets() == expected, (n, m)
+        assert element_sets(census) == expected, (n, m)
         ideals = sum(is_ideal_set(census.ring, h) for h in expected)
         assert census_ideal_count(census) == ideals, (n, m)
 

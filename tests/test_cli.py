@@ -124,14 +124,20 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "census", "--p", "2", "--r", "-1", "--s", "1")[0] == 2
 
 
-def test_cap_exceeded_exit_3(capsys):
+def test_cap_exceeded_exit_3(capsys, monkeypatch):
     assert invoke(capsys, "census", "--p", "2", "--r", "7", "--s", "7", "--verify", "--cap", "100")[0] == 3
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     for command in (("ideal", "zn"), ("order",)):
         code, out = invoke(
             capsys, *command, "--moduli", "101,103,107",
             "--gens", "1,0,0;0,1,0;0,0,1", "--cap", "1000", "--verify",
         )
         assert code == 3 and out == ""
+        # the default cap, 10^6, one ring past it: --verify closes nothing
+        assert run([*command, "--moduli", "1000,1001", "--gens", "1,0", "--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ring order 1001000 exceeds the enumeration cap 1000000\n"
 
 
 @pytest.mark.parametrize(
@@ -299,8 +305,10 @@ def test_import_boundary():
 
 
 def test_verify_materializes_at_the_cap():
-    # --verify materializes the subgroup: whole rings of order 10^6, the
-    # default cap, and small subgroups of them, at arity 2 and 6
+    # --verify closes the subgroup on bits: whole rings of order 10^6, the
+    # default cap, and small subgroups of them, at arity 2 and 6, in one
+    # process whose peak RSS stays below 64 MiB (element tuples of a whole
+    # ring took about 200 MiB)
     whole6 = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
     cases = [
         ("1000,1000", "1,0;0,1", "ideal", 10**6),
@@ -314,15 +322,19 @@ def test_verify_materializes_at_the_cap():
         for command in ("ideal zn", "order")
     ]
     script = (
-        "import sys\n"
+        "import resource, sys\n"
         "from idealgate.cli import run\n"
         "print([run(a.split()) for a in sys.argv[1:]])\n"
+        # ru_maxrss is in KiB, in bytes on macOS
+        "kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(kib // 1024 if sys.platform == 'darwin' else kib)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=ENV, timeout=60
     )
-    *lines, codes = proc.stdout.splitlines()
+    *lines, codes, maxrss = proc.stdout.splitlines()
     assert codes == str([0] * len(argvs)), proc.stderr
+    assert int(maxrss) < 64 * 1024, maxrss
     docs = [json.loads(line) for line in lines]
     for (_, _, verdict, order), ideal_doc, order_doc in zip(cases, docs[::2], docs[1::2]):
         assert (ideal_doc["verdict"], order_doc["verdict"]) == (verdict, order)
@@ -496,7 +508,7 @@ class _Miscounted(cli.FiniteSubgroup):
 # oracle, the census tally or the primary answer disagree with the other
 DISAGREEMENTS = [
     ("ideal zd --gens 2,0;2,1", "_zd_closure_oracle", lambda matrix: False),
-    ("ideal zn --moduli 4,2 --gens 2,0;2,1", "is_ideal_bruteforce", lambda subgroup: False),
+    ("ideal zn --moduli 4,2 --gens 2,0;2,1", "_is_ideal_bits", lambda bits, gens, strides: False),
     ("order --moduli 4,2 --gens 2,0;3,1", "FiniteSubgroup", _Miscounted),
     ("census --p 2 --r 1 --s 2", "census_ideal_count", lambda census: 0),
     ("prob --n 6 --m 6", "census_ideal_count", lambda census: 0),
