@@ -4,26 +4,25 @@ ideal oracle, and the subgroup and ideal counting formulas of Z_{p^r} x Z_{p^s}
 subgroups is a theorem in paper.py; tests check it against this census.
 
 The enumerator runs on the bitset engine of finite.py, the one the CLI's
---verify uses.  It enumerates each primary component G_p of the ring once and
-assembles the ring's subgroups as the direct sums of theirs: every subgroup
-is the direct sum of its intersections with the G_p.  Inside G_p
-every subgroup K != 0 has one first-axis parent P, its elements that are zero
-up to and including K's first nonzero axis j, and K = <P, g> for one coset
-g + P with g zero before axis j; the docstring of _primary_subgroups shows
-that (P, g + P) determines K and that every such pair gives a subgroup, so
-each subgroup is closed exactly once, from its parent, without any counting
-formula.  The census keeps each subgroup as its bitset: its size and the
-ideal tally read the bits (_is_ideal_bits, shared with --verify), and the
-element sets are decoded only on first use.
+--verify uses.  One loop over the axes of the whole ring finds every subgroup
+K != 0 from its first-axis parent P, its elements that are zero up to and
+including K's first nonzero axis: K = <P, g> for one coset g + P, and the
+docstring of enumerate_subgroups_bruteforce shows that (P, g + P) determines
+K and that every such pair gives a subgroup, so each subgroup is closed
+exactly once, without any counting formula.  Before it starts, the census
+checks the ring's exact subgroup count (_subgroup_count) against its bound.
+It keeps each subgroup as its bitset: its size and the ideal tally read the
+bits (_is_ideal_bits, shared with --verify), and the element sets are decoded
+only on first use.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import zip_longest
 from math import gcd, lcm
+from typing import Sequence
 
-from .exactarith import InvariantError, Record, factorize, require_prime
+from .exactarith import InvariantError, Record, factorize, gaussian_binomial, require_prime
 from .finite import (
     EnumerationCapExceeded,
     FiniteSubgroup,
@@ -34,25 +33,25 @@ from .finite import (
 )
 
 # Max ring order for a brute-force census.  A census takes one closure per
-# subgroup but the trivial one: inside a primary component G_p from its
-# first-axis parent, found by scanning the parent's cosets in a G[e] mask
-# (one mask per e), and then one per sum of nontrivial subgroups of two
-# components; a closure is a few doubling steps, each a few shifts and masks
-# of order-bit integers, so the cost follows the subgroup count more than the
-# order.  Census and ideal tally leave the members as bitsets, so no element
-# tuple is built.  On a shared 2-core x86-64 host: Z_96 x Z_96 (order 9216,
-# 1062 subgroups, 2-part Z_32 x Z_32 and 3-part Z_3 x Z_3) takes about
-# 0.02-0.03 s, Z_64 x Z_128 (494 subgroups) 0.01-0.02 s, Z_10000 0.003 s, and
-# Z_2^6 (order 64, 2825 subgroups) 0.02 s.  Reading members then decodes
-# them: 0.13 s more for Z_96 x Z_96, 0.02-0.03 s for Z_2^6.
+# subgroup but the trivial one, from its first-axis parent, found by scanning
+# the parent's cosets in a G[e] mask (one mask per e); a closure is a few
+# doubling steps, each a few shifts and masks of order-bit integers, so the
+# cost follows the subgroup count more than the order.  Census and ideal
+# tally leave the members as bitsets, so no element tuple is built.  On a
+# shared 2-core x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups) takes
+# about 0.02-0.03 s, Z_64 x Z_128 (494 subgroups) 0.01-0.02 s, Z_10000
+# 0.002-0.003 s, and Z_2^6 (order 64, 2825 subgroups) 0.02-0.03 s.  Reading
+# members then decodes them: 0.13 s more for Z_96 x Z_96, 0.02-0.03 s for
+# Z_2^6.
 DEFAULT_CENSUS_CAP = 10_000
 
 # Max subgroup count of a census, fixed: its time and memory follow the
 # subgroup count (one extend and one bitset each), which the ring-order cap
 # does not bound.  On a shared 2-core x86-64 host, Z_2^8 (417,199 subgroups)
-# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.  The CLI checks
-# the predicted count against it before a census starts;
-# enumerate_subgroups_bruteforce stops once its running count passes it.
+# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.  The CLI and
+# enumerate_subgroups_bruteforce both check the predicted count against it
+# before a census starts; the census also stops once its running count
+# passes it.
 CENSUS_SUBGROUP_BOUND = 500_000
 
 # byte b -> b with its eight bits in reverse order
@@ -138,22 +137,41 @@ class SubgroupSet(Record):
 def enumerate_subgroups_bruteforce(
     ring: ProductRing, max_order: int = DEFAULT_CENSUS_CAP
 ) -> SubgroupSet:
-    """Every subgroup of the ring, each closed once on the bitset engine.
+    """Every subgroup of the ring G, each closed once on the bitset engine.
 
-    Primary decomposition: a subgroup K of a finite abelian group G is the
-    direct sum of its intersections K_p with the primary components
-    G_p = G[p^a] (p^a the full power of p in exp G), and each K_p is a
-    subgroup of G_p; conversely every choice of one subgroup per G_p sums to
-    a subgroup whose p-parts are the chosen ones.  So the subgroups of G are
-    the direct sums of the subgroups of its primary components, each sum
-    once.  The census enumerates each G_p by the first-axis parents of
-    _primary_subgroups and assembles the sums in _direct_sums; a ring whose
-    order is a prime power is one part and needs no assembly.  Every member
-    keeps at most arity generators: a part's subgroup has at most one per
-    axis, and a sum's are the position-wise sums of its parts' (see
-    _direct_sums).  Every member but the trivial one costs one extend.  The
-    census stops with EnumerationCapExceeded once a part's running count, or
-    the count of the sums about to be built, passes CENSUS_SUBGROUP_BOUND.
+    Before it closes anything, the census checks the ring's exact subgroup
+    count (_subgroup_count) against CENSUS_SUBGROUP_BOUND and raises
+    EnumerationCapExceeded, naming that count, when it is over; a running
+    count that passes the bound stops it too.
+
+    First-axis parents: for a subgroup K != 0 of G, let j be the first axis
+    on which K has a nonzero coordinate, G_{>j} the elements whose
+    coordinates up to and including axis j are zero, and P = K & G_{>j}, its
+    parent.  The projection of K onto axis j is <d> for a divisor d of n_j
+    with d < n_j, so t = n_j/d > 1 divides n_j; K holds some
+    g = (0, ..., 0, d, c) with c in G_{>j}, and:
+
+    - K = <P, g>: an element of K with axis-j coordinate s*d, minus s*g,
+      lies in K & G_{>j} = P;
+    - c is unique modulo P, since two such g differ by an element of P;
+    - t*c is in P, since t*g = (0, ..., 0, 0, t*c) lies in K & G_{>j};
+    - conversely, for any subgroup P of G_{>j}, any divisor t > 1 of n_j,
+      d = n_j/t and any c in G_{>j} with t*c in P, K = <P, g> meets G_{>j}
+      in P (s*g + P leaves G_{>j} unless t | s, and then s*g is in P),
+      projects onto <d> and has |K/P| = t.
+
+    So the subgroups of G are exactly the <P, g> over the triples
+    (P, d, c + P), each found once and closed by one extend with its
+    quotient order t known, without any counting formula.  The scan for c
+    needs only the primes of t: for a prime q that does not divide t, the
+    q-part of t*c is t times the q-part of c and lies in P, and t is
+    invertible on q-parts, so c's q-part lies in P and c + P has a
+    representative c' with no q-part.  t*c' in P then gives e*c' = 0 for e = t
+    times the part of exp(P) at the primes of t, so the scan runs over the
+    cosets of P in G[e] & G_{>j}, one translate and one bit test per coset.
+    The axes go from last to first, so the P for axis j are the subgroups
+    found before it, and a subgroup's generators are its parent's, then g:
+    at most one per axis.  exp(<P, g>) is lcm(exp(P), |<g>|).
 
     The result holds the bitsets, sorted by (order, sorted elements), and
     decodes them into FiniteSubgroups only when members is read; bit order is
@@ -164,61 +182,11 @@ def enumerate_subgroups_bruteforce(
         raise EnumerationCapExceeded(
             f"ring order {ring.order} exceeds the census cap {max_order}"
         )
+    count = _subgroup_count(ring.moduli)
+    if count > CENSUS_SUBGROUP_BOUND:
+        raise _over_bound(count)
     eng = _TranslationEngine(ring)
     elements = list(ring.elements())  # bit e <-> elements[e]
-    parts = [
-        _primary_subgroups(eng, elements, p, p**a) for p, a in factorize(lcm(*ring.moduli))
-    ]
-    generators = parts[0] if parts else {1: ()}  # the trivial ring: bit 0 alone
-    for part in parts[1:]:
-        if len(generators) * len(part) > CENSUS_SUBGROUP_BOUND:
-            raise _over_bound(len(generators) * len(part))
-        generators = _direct_sums(eng, generators, part)
-    nbytes = (ring.order + 7) // 8
-
-    def key(bits: int) -> tuple[int, int]:
-        # bytes in reverse order, each byte mirrored: bit e moves to place
-        # 8*nbytes-1-e.  For two sets of one size, the first bit e where they
-        # differ is in the one with the smaller sorted element list
-        # (elements[e] against a larger element), whose value is larger
-        mirrored = bits.to_bytes(nbytes, "little").translate(_BIT_REVERSE)
-        return bits.bit_count(), -int.from_bytes(mirrored, "big")
-
-    bitsets = tuple(sorted(generators, key=key))
-    return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
-
-
-def _primary_subgroups(
-    eng: _TranslationEngine, elements: list[tuple[int, ...]], p: int, q: int
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Every subgroup of the primary component G[q] = {x : q*x = 0}, q = p^a,
-    as bitset -> generators, each subgroup after its first-axis parent.
-
-    First-axis parents: for a subgroup K != 0 of G[q], let j be the first
-    axis on which K has a nonzero coordinate, G_{>j} the elements whose
-    coordinates up to and including axis j are zero, and P = K & G_{>j}, its
-    parent.  The projection of K onto axis j is <d> for a d | n_j with
-    0 < d < n_j and q*d = 0 mod n_j, so t = n_j/d is a power of p dividing
-    gcd(q, n_j); K holds some g = (0, ..., 0, d, c) with c in G_{>j}, and:
-
-    - K = <P, g>: an element of K with axis-j coordinate s*d, minus s*g,
-      lies in K & G_{>j} = P;
-    - c is unique modulo P, since two such g differ by an element of P;
-    - t*c is in P, since t*g = (0, ..., 0, 0, t*c) lies in K & G_{>j};
-    - conversely, for any subgroup P of G_{>j} & G[q], any such d and any
-      c in G_{>j} with t*c in P, K = <P, g> meets G_{>j} in P (s*g + P
-      leaves G_{>j} unless t | s, and then s*g is in P), projects onto <d>
-      and has |K/P| = t.
-
-    So the subgroups of G[q] are exactly the <P, g> over the triples
-    (P, d, c + P), each found once and closed by one extend with its
-    quotient order t known, without any counting formula.  t*c in P needs
-    t*exp(P)*c = 0, so the scan for c runs over the cosets of P in
-    G[t*exp(P)] & G_{>j}, one translate and one bit test per coset.  The
-    axes go from last to first, so the P for axis j are the subgroups found
-    before it, and a subgroup's generators are its parent's, then g: at
-    most one per axis.
-    """
     moduli, strides = eng.moduli, eng.strides
     bound = CENSUS_SUBGROUP_BOUND
     scans: dict[int, int] = {}  # G[e] by e
@@ -227,16 +195,15 @@ def _primary_subgroups(
     exponents = {trivial: 1}
     for j in reversed(range(len(moduli))):
         n, stride = moduli[j], strides[j]
-        m = gcd(q, n)
-        if m == 1:
-            continue
+        divisors = [t for t in range(2, n + 1) if n % t == 0]
         tail = list(zip(moduli, strides))[j + 1 :]
         low = (1 << stride) - 1  # G_{>j}
         for parent, parent_gens in list(generators.items()):
             exp_parent = exponents[parent]
-            t = p
-            while m % t == 0:
-                e = t * exp_parent
+            for t in divisors:
+                # the part of exp(P) at the primes of t: t**k, k = exp(P).bit_length(),
+                # holds each prime of t to a higher power than exp(P) does
+                e = t * gcd(exp_parent, t ** exp_parent.bit_length())
                 scan = scans.get(e)
                 if scan is None:
                     scan = scans[e] = eng.torsion(e)
@@ -253,12 +220,21 @@ def _primary_subgroups(
                         generators[k_bits] = parent_gens + (g,)
                         if len(generators) > bound:
                             raise _over_bound(len(generators))
-                        # exp(K) = max(exp(P), |<g>|), all powers of p
-                        exponents[k_bits] = max(
+                        exponents[k_bits] = lcm(
                             exp_parent, *[n_i // gcd(x, n_i) for x, n_i in zip(g, moduli)]
                         )
-                t *= p
-    return generators
+    nbytes = (ring.order + 7) // 8
+
+    def key(bits: int) -> tuple[int, int]:
+        # bytes in reverse order, each byte mirrored: bit e moves to place
+        # 8*nbytes-1-e.  For two sets of one size, the first bit e where they
+        # differ is in the one with the smaller sorted element list
+        # (elements[e] against a larger element), whose value is larger
+        mirrored = bits.to_bytes(nbytes, "little").translate(_BIT_REVERSE)
+        return bits.bit_count(), -int.from_bytes(mirrored, "big")
+
+    bitsets = tuple(sorted(generators, key=key))
+    return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
 
 
 def _over_bound(count: int) -> EnumerationCapExceeded:
@@ -268,44 +244,38 @@ def _over_bound(count: int) -> EnumerationCapExceeded:
     )
 
 
-def _direct_sums(
-    eng: _TranslationEngine,
-    left: dict[int, tuple[tuple[int, ...], ...]],
-    right: dict[int, tuple[tuple[int, ...], ...]],
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Every A + B for A of left and B of right, subgroups of coprime orders,
-    as bitset -> generators.
+def _subgroup_count(moduli: Sequence[int]) -> int:
+    """Exact subgroup count of Z_{n_1} x ... x Z_{n_k}.
 
-    right is a part from _primary_subgroups: each B = <H, g> comes after H and
-    has H's generators followed by g, so A + B is A + H extended by g, with
-    the quotient order |B|/|H| known; that is one extend per A != 0 and
-    nontrivial B.  0 + B is B, already closed in its part, and keeps B's
-    bits and generators.  The generators of A + B are the position-wise sums
-    a_i + b_i, the shorter tuple padded with zeros: a_i and b_i have coprime
-    orders, so <a_i + b_i> = <a_i> + <b_i>, and the sums generate A + B.
+    The count is the product over primes p of the count of the p-part, the
+    abelian p-group of type lambda, the exponents of p in the n_i.  Its
+    subgroups of type mu, for each partition mu inside lambda, number
+    (Birkhoff-Delsarte; Butler, Subgroup lattices and symmetric functions,
+    Mem. AMS 1994)
+
+        prod_i p^(mu'_{i+1} (lambda'_i - mu'_i)) [lambda'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p
+
+    with ' the conjugate partition and [r, i]_p the Gaussian binomial.  Factor
+    i reads only mu'_i and mu'_{i+1}, so the sum over mu runs as a chain over
+    the columns i from last to first, its weight summed per value of mu'_i.
     """
-    moduli = eng.moduli
-    zero = (0,) * len(moduli)
-    size = {gens: bits.bit_count() for bits, gens in right.items()}
-    steps = [
-        (gens, gens[:-1], gens[-1], size[gens] // size[gens[:-1]])
-        for gens in right.values()
-        if gens
-    ]
-    sums: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for a_bits, a_gens in left.items():
-        if a_bits == 1:  # A = 0
-            sums.update(right)
-            continue
-        over_a = {(): a_bits}  # A + B by the generators of B
-        sums[a_bits] = a_gens
-        for gens, parent, g, quotient in steps:
-            over_a[gens] = bits = eng.extend(over_a[parent], g, quotient)
-            sums[bits] = tuple(
-                tuple((x + y) % n for x, y, n in zip(a, b, moduli))
-                for a, b in zip_longest(a_gens, gens, fillvalue=zero)
-            )
-    return sums
+    exponents: dict[int, list[int]] = {}
+    for n in moduli:
+        for p, a in factorize(n):
+            exponents.setdefault(p, []).append(a)
+    total = 1
+    for p, lam in exponents.items():
+        weights = {0: 1}  # mu'_{i+1} -> summed weight of the columns after i
+        for i in range(max(lam), 0, -1):
+            col = sum(a >= i for a in lam)  # lambda'_i
+            chain: dict[int, int] = {}
+            for below, w in weights.items():
+                for mu in range(below, col + 1):
+                    term = p ** (below * (col - mu)) * gaussian_binomial(col - below, mu - below, p)
+                    chain[mu] = chain.get(mu, 0) + w * term
+            weights = chain
+        total *= sum(weights.values())
+    return total
 
 
 # The tuple reference of _is_ideal_bits: only perfbench and the tests call it.

@@ -278,7 +278,7 @@ def _closure_bits(ring: ProductRing, generators: Sequence[Sequence[int]], cap: i
     return bits
 
 
-# The tuple reference: only perfbench, the tests and paper.py call it.
+# The tuple reference: only perfbench and the tests call it.
 def closure(
     ring: ProductRing, generators: Sequence[Sequence[int]], cap: int | None = None
 ) -> frozenset[tuple[int, ...]]:

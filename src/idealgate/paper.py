@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .exactarith import InvariantError, Record, additive_order, require_prime, valuation
-from .finite import FiniteSubgroup, ProductRing, _two_generators, closure, kernel_lattice
+from .finite import FiniteSubgroup, ProductRing, _closure_bits, _two_generators, kernel_lattice
 from .lattice import IdealWitness, IntMatrix
 
 
@@ -86,7 +86,7 @@ def kernel_sum_order_mod_lcm(n: int, m: int, g1: Sequence[int], g2: Sequence[int
         kernel_lattice(a, c, n).basis.matrix.columns()
         + kernel_lattice(b, d, m).basis.matrix.columns()
     )
-    return len(closure(square, [square.reduce(v) for v in gens]))
+    return _closure_bits(square, gens).bit_count()
 
 
 def subgroup_order_two_gen(n: int, m: int, g1: Sequence[int], g2: Sequence[int]) -> int:

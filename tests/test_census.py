@@ -1,15 +1,21 @@
 """Tests for the subgroup census: tuple enumeration, brute force, and counting."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 from math import gcd, prod
+from pathlib import Path
 import pytest
 
+import idealgate
 from idealgate import cli
 from idealgate.census import (
     CENSUS_SUBGROUP_BOUND,
     SubgroupSet,
     _is_ideal_bits,
+    _subgroup_count,
     census_ideal_count,
     count_ideals_pp,
     count_subgroups_closed,
@@ -32,6 +38,7 @@ from idealgate.paper import (
     tuple_from_subgroup,
     tuple_to_subgroup,
 )
+from idealgate.probability import count_subspaces
 from closure_oracle import (
     element_sets,
     is_ideal_exhaustive,
@@ -39,6 +46,8 @@ from closure_oracle import (
     layered_tuple_closures,
     tuple_closure,
 )
+
+SRC = str(Path(idealgate.__file__).resolve().parents[1])
 
 
 # === classifying tuples ===
@@ -291,8 +300,8 @@ def _count_extensions(monkeypatch):
     return calls
 
 
-def _moduli_up_to(order, arity):
-    """Every multiset of moduli >= 2 with product <= order and at most arity factors."""
+def _moduli_up_to(order, arity, least=2):
+    """Every multiset of moduli >= least with product <= order and at most arity factors."""
     out = []
 
     def grow(prefix, low, budget):
@@ -303,7 +312,7 @@ def _moduli_up_to(order, arity):
         for n in range(low, budget + 1):
             grow(prefix + [n], n, budget // n)
 
-    grow([], 2, order)
+    grow([], least, order)
     return out
 
 
@@ -314,8 +323,7 @@ def _check_against_layered_closure(ring, calls):
     assert element_sets(census) == expected, ring.moduli
     keys = [(len(sub.elements), sorted(sub.elements)) for sub in census.members]
     assert keys == sorted(keys), ring.moduli
-    # one closure per nontrivial member: in each primary part from its
-    # first-axis parent, in the assembly once per sum A + B with A, B != 0
+    # one closure per nontrivial member, from its first-axis parent
     assert len(calls) == len(census) - 1, ring.moduli
     for bits, gens in zip(census.bitsets, census.generators):
         assert len(gens) <= ring.arity, (ring.moduli, gens)
@@ -339,8 +347,8 @@ def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
 
 
 def test_census_composite_quotient_orders(monkeypatch):
-    # every axis splits into a 2-part and a 3-part: quotients of order 2, 4,
-    # 3 and 9 over first-axis parents, then sums of members of both parts
+    # every axis has a 2-part and a 3-part: quotients of order 2, 3, 4, 6,
+    # 9, 12, ... over first-axis parents whose exponents mix both primes
     calls = _count_extensions(monkeypatch)
     for moduli in ((12, 36), (6, 6, 6)):
         _check_against_layered_closure(ProductRing(moduli), calls)
@@ -355,8 +363,8 @@ def test_census_arity_4_layers(monkeypatch):
 
 
 def test_census_multi_prime_rings(monkeypatch):
-    # three and four primary parts, joined one after another; (6, 35) has
-    # no prime common to two axes, (30, 6) and (10, 12) split both axes
+    # three and four primes in one loop over the axes; (6, 35) has no prime
+    # common to two axes, (30, 6) and (10, 12) share primes across both axes
     calls = _count_extensions(monkeypatch)
     for moduli in ((6, 35), (30, 6), (10, 12), (2, 3, 5, 7)):
         _check_against_layered_closure(ProductRing(moduli), calls)
@@ -408,8 +416,8 @@ def test_census_cap():
 
 
 def test_census_stops_at_the_subgroup_bound(monkeypatch):
-    # Z_2^6 has 2825 subgroups, one primary part; Z_6 x Z_6 has 5 * 6 = 30,
-    # as the direct sums of its 2- and 3-parts.  The CLI checks the same bound
+    # Z_2^6 has 2825 subgroups, one prime; Z_6 x Z_6 has 5 * 6 = 30, the
+    # 2-part's 5 times the 3-part's 6.  The CLI checks the same bound
     assert cli.CENSUS_SUBGROUP_BOUND is CENSUS_SUBGROUP_BOUND
     for moduli, count in (((2,) * 6, 2825), ((6, 6), 30)):
         ring = ProductRing(moduli)
@@ -418,6 +426,73 @@ def test_census_stops_at_the_subgroup_bound(monkeypatch):
         monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", count - 1)
         with pytest.raises(EnumerationCapExceeded, match=f"at least {count} subgroups"):
             enumerate_subgroups_bruteforce(ring)
+
+
+def test_census_checks_the_predicted_count_first(monkeypatch):
+    # over the bound, the census raises with the exact count before it closes
+    # anything; the extend count is checked after each ring, so a census that
+    # starts fails the test before Z_2^13, whose running count would hold
+    # 500,001 bitsets of 8192 bits before it stopped
+    calls = _count_extensions(monkeypatch)
+    for moduli, count in (((6,) * 5, 996_336), ((2,) * 9, 8_283_458), ((2,) * 13, 37_558_989_808_526)):
+        with pytest.raises(EnumerationCapExceeded, match=f"at least {count} subgroups"):
+            enumerate_subgroups_bruteforce(ProductRing(moduli))
+        assert calls == [], moduli
+
+
+def test_census_over_the_bound_stops_at_once():
+    # in a subprocess with a timeout, so that a census which starts cannot
+    # hold up the run
+    script = (
+        "import time\n"
+        "from idealgate.census import enumerate_subgroups_bruteforce\n"
+        "from idealgate.finite import EnumerationCapExceeded, ProductRing\n"
+        "for moduli in ((2,) * 9, (6,) * 5, (2,) * 13):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        enumerate_subgroups_bruteforce(ProductRing(moduli))\n"
+        "    except EnumerationCapExceeded:\n"
+        "        print(time.perf_counter() - start)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=20,
+    )
+    seconds = [float(line) for line in proc.stdout.split()]
+    assert len(seconds) == 3 and max(seconds) < 1, (proc.stdout, proc.stderr)
+
+
+def test_census_running_count_backs_up_the_predicted_count(monkeypatch):
+    # a counter that under-predicts lets the census start; the running count
+    # still stops it once it passes the bound
+    monkeypatch.setattr("idealgate.census._subgroup_count", lambda moduli: 1)
+    monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", 2824)
+    with pytest.raises(EnumerationCapExceeded, match="at least 2825 subgroups"):
+        enumerate_subgroups_bruteforce(ProductRing((2,) * 6))
+
+
+def test_subgroup_count_matches_the_census():
+    # every multiset of <= 4 moduli >= 1 with product <= 512
+    rings = _moduli_up_to(512, 4, least=1)
+    assert len(rings) == 7562
+    for moduli in rings:
+        assert _subgroup_count(moduli) == len(enumerate_subgroups_bruteforce(ProductRing(moduli))), moduli
+
+
+def test_subgroup_count_matches_the_closed_forms():
+    # beyond the census's reach: Z_{p^r} x Z_{p^s} and Z_p^r.  At 10^9+7,
+    # factorize takes up to k * 2**12 trial divisions on p**k for a prime k,
+    # so the exponents there skip the large primes
+    for p, exponents in ((2, range(41)), (3, range(41)), (5, range(41)), (10**9 + 7, (*range(9), 16, 32, 40))):
+        for r in exponents:
+            for s in exponents:
+                assert _subgroup_count((p**r, p**s)) == count_subgroups_closed(p, r, s), (p, r, s)
+        for r in range(13):
+            assert _subgroup_count((p,) * r) == count_subspaces(p, r), (p, r)
 
 
 def test_subgroup_set_rejects_duplicates():
@@ -468,8 +543,8 @@ def test_coprime_moduli_subgroups_split_as_products():
             proj1 = {x for x, _ in sub.elements}
             proj2 = {y for _, y in sub.elements}
             assert sub.elements == frozenset((x, y) for x in proj1 for y in proj2)
-        # the census enumerates each primary part and joins them, so the split
-        # holds by construction; the tuple oracle knows nothing of parts
+        # neither the census's one loop over the axes nor the tuple oracle,
+        # which closes generator tuples, knows of the split
         expected = layered_tuple_closures(census.ring)
         assert element_sets(census) == expected, (n, m)
         ideals = sum(is_ideal_set(census.ring, h) for h in expected)
