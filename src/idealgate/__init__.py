@@ -39,6 +39,7 @@ from .census import (
     SubgroupSet,
     census_ideal_count,
     count_ideals_pp,
+    count_subgroups,
     count_subgroups_closed,
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
@@ -74,6 +75,7 @@ __all__ = [
     "census_ideal_count",
     "closure",
     "count_ideals_pp",
+    "count_subgroups",
     "count_subgroups_closed",
     "count_subgroups_sum",
     "count_subspaces",

@@ -1,7 +1,7 @@
 """Subgroup census for finite product rings: the brute-force enumerator, the
-ideal oracle, and the subgroup and ideal counting formulas of Z_{p^r} x Z_{p^s}
-(exact integer division).  The paper's Goursat 5-tuple enumeration of those
-subgroups is a theorem in paper.py; tests check it against this census.
+ideal oracle, count_subgroups (the one subgroup counter) and the counting
+formulas of Z_{p^r} x Z_{p^s}.  The paper's Goursat 5-tuple enumeration of
+those subgroups is a theorem in paper.py; tests check it against this census.
 
 The enumerator runs on the bitset engine of finite.py, the one the CLI's
 --verify uses.  One loop over the axes of the whole ring finds every subgroup
@@ -10,7 +10,7 @@ including K's first nonzero axis: K = <P, g> for one coset g + P, and the
 docstring of enumerate_subgroups_bruteforce shows that (P, g + P) determines
 K and that every such pair gives a subgroup, so each subgroup is closed
 exactly once, without any counting formula.  Before it starts, the census
-checks the ring's exact subgroup count (_subgroup_count) against its bound.
+checks the ring's exact subgroup count (count_subgroups) against its bound.
 It keeps each subgroup as its bitset: its size and the ideal tally read the
 bits (_is_ideal_bits, shared with --verify), and the element sets are decoded
 only on first use.
@@ -19,10 +19,10 @@ only on first use.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
-from .exactarith import InvariantError, Record, factorize, gaussian_binomial, require_prime
+from .exactarith import InvariantError, Record, _gaussian_binomial, factorize, require_prime
 from .finite import (
     EnumerationCapExceeded,
     FiniteSubgroup,
@@ -48,10 +48,10 @@ DEFAULT_CENSUS_CAP = 10_000
 # Max subgroup count of a census, fixed: its time and memory follow the
 # subgroup count (one extend and one bitset each), which the ring-order cap
 # does not bound.  On a shared 2-core x86-64 host, Z_2^8 (417,199 subgroups)
-# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.  The CLI and
-# enumerate_subgroups_bruteforce both check the predicted count against it
-# before a census starts; the census also stops once its running count
-# passes it.
+# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.  Only
+# enumerate_subgroups_bruteforce checks it, after the ring-order cap: it
+# compares count_subgroups against it before a census starts, and stops once
+# its running count passes it.
 CENSUS_SUBGROUP_BOUND = 500_000
 
 # byte b -> b with its eight bits in reverse order
@@ -61,16 +61,7 @@ _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 def count_subgroups_closed(p: int, r: int, s: int) -> int:
     """Closed-form subgroup count of Z_{p^r} x Z_{p^s}; the division is exact."""
     require_prime(p)
-    return _subgroups_closed(p, *_sorted_exponents(r, s))
-
-
-def _subgroups_closed(p: int, r: int, s: int) -> int:
-    """The closed form for a proven prime p and exponents 0 <= r <= s."""
-    num = p ** (r + 1) * ((s - r + 1) * (p - 1) + 2) - ((s + r + 3) * (p - 1) + 2)
-    q, rem = divmod(num, (p - 1) ** 2)
-    if rem:
-        raise InvariantError(f"count_subgroups_closed({p}, {r}, {s}): inexact division")
-    return q
+    return _p_group_count(p, _sorted_exponents(r, s))
 
 
 def count_subgroups_sum(p: int, r: int, s: int) -> int:
@@ -140,7 +131,7 @@ def enumerate_subgroups_bruteforce(
     """Every subgroup of the ring G, each closed once on the bitset engine.
 
     Before it closes anything, the census checks the ring's exact subgroup
-    count (_subgroup_count) against CENSUS_SUBGROUP_BOUND and raises
+    count (count_subgroups) against CENSUS_SUBGROUP_BOUND and raises
     EnumerationCapExceeded, naming that count, when it is over; a running
     count that passes the bound stops it too.
 
@@ -182,7 +173,7 @@ def enumerate_subgroups_bruteforce(
         raise EnumerationCapExceeded(
             f"ring order {ring.order} exceeds the census cap {max_order}"
         )
-    count = _subgroup_count(ring.moduli)
+    count = count_subgroups(ring.moduli)
     if count > CENSUS_SUBGROUP_BOUND:
         raise _over_bound(count)
     eng = _TranslationEngine(ring)
@@ -244,12 +235,21 @@ def _over_bound(count: int) -> EnumerationCapExceeded:
     )
 
 
-def _subgroup_count(moduli: Sequence[int]) -> int:
-    """Exact subgroup count of Z_{n_1} x ... x Z_{n_k}.
+def count_subgroups(moduli: Sequence[int]) -> int:
+    """Exact subgroup count of Z_{n_1} x ... x Z_{n_k}: the product over primes p
+    of the count of the p-part, whose type is the exponents of p in the n_i."""
+    exponents: dict[int, list[int]] = {}
+    for n in moduli:
+        for p, a in factorize(n):
+            exponents.setdefault(p, []).append(a)
+    return prod(_p_group_count(p, lam) for p, lam in exponents.items())
 
-    The count is the product over primes p of the count of the p-part, the
-    abelian p-group of type lambda, the exponents of p in the n_i.  Its
-    subgroups of type mu, for each partition mu inside lambda, number
+
+def _p_group_count(p: int, exponents: Sequence[int]) -> int:
+    """Subgroup count of the abelian p-group of type lambda = exponents, for a
+    proven prime p.  Up to rank 2 it is the closed form of Z_{p^r} x Z_{p^s},
+    r <= s (a + 1 at rank 1; the division is exact).  Above, it sums over the
+    partitions mu inside lambda the count of the subgroups of type mu
     (Birkhoff-Delsarte; Butler, Subgroup lattices and symmetric functions,
     Mem. AMS 1994)
 
@@ -258,24 +258,26 @@ def _subgroup_count(moduli: Sequence[int]) -> int:
     with ' the conjugate partition and [r, i]_p the Gaussian binomial.  Factor
     i reads only mu'_i and mu'_{i+1}, so the sum over mu runs as a chain over
     the columns i from last to first, its weight summed per value of mu'_i.
+    The closed form stays for rank 2, where the chain costs 5 to 110 times as
+    much (3-140 us against 0.5-1.3 us on a shared 2-core x86-64 host).
     """
-    exponents: dict[int, list[int]] = {}
-    for n in moduli:
-        for p, a in factorize(n):
-            exponents.setdefault(p, []).append(a)
-    total = 1
-    for p, lam in exponents.items():
-        weights = {0: 1}  # mu'_{i+1} -> summed weight of the columns after i
-        for i in range(max(lam), 0, -1):
-            col = sum(a >= i for a in lam)  # lambda'_i
-            chain: dict[int, int] = {}
-            for below, w in weights.items():
-                for mu in range(below, col + 1):
-                    term = p ** (below * (col - mu)) * gaussian_binomial(col - below, mu - below, p)
-                    chain[mu] = chain.get(mu, 0) + w * term
-            weights = chain
-        total *= sum(weights.values())
-    return total
+    if len(exponents) <= 2:
+        r, s = sorted(exponents) if len(exponents) == 2 else (0, sum(exponents))
+        num = p ** (r + 1) * ((s - r + 1) * (p - 1) + 2) - ((s + r + 3) * (p - 1) + 2)
+        q, rem = divmod(num, (p - 1) ** 2)
+        if rem:
+            raise InvariantError(f"subgroup count of Z_{p**r} x Z_{p**s}: inexact division")
+        return q
+    weights = {0: 1}  # mu'_{i+1} -> summed weight of the columns after i
+    for i in range(max(exponents), 0, -1):
+        col = sum(a >= i for a in exponents)  # lambda'_i
+        chain: dict[int, int] = {}
+        for below, w in weights.items():
+            for mu in range(below, col + 1):
+                term = p ** (below * (col - mu)) * _gaussian_binomial(col - below, mu - below, p)
+                chain[mu] = chain.get(mu, 0) + w * term
+        weights = chain
+    return sum(weights.values())
 
 
 # The tuple reference of _is_ideal_bits: only perfbench and the tests call it.

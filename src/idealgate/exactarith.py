@@ -80,11 +80,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     perfect power r**k, whose root is then factored recursively.  Powers are
     looked for each time d reaches a power of two from 2**8 on (see
     _power_root): squares (math.isqrt), and k-th powers for the primes
-    k >= 3 up to d / 2**12 (an integer Newton root each).  So a root is
-    taken at most once per 2**7 divisions, and from k = 3 on at most once
-    per 2**10; numbers whose prime factors are all below 2**8 take none.
-    At any size of p, p**2 times primes below q costs at most max(q, 2**7)
-    divisions, p**3 about 2**13, and p**k at most k * 2**12.
+    k <= d / 4, each behind a residue check of a few divisions, so a search
+    costs at most about as much as the d / 4 divisions since the last one.
+    At any size of p, p**k costs 2**7 divisions up to k = 64 and under 4k
+    beyond, and p**2 times primes below q at most max(q, 2**7).
     Otherwise reaching a prime factor p takes about p/2 divisions: the cost
     follows the second largest prime factor of n, counted with multiplicity.
     A product p*q of two large primes p < q still takes about p/2
@@ -148,17 +147,19 @@ def _is_prime_below_bound(n: int) -> bool:
 
 def _power_root(n: int, d: int) -> tuple[int, int] | None:
     """(r, k) with n == r**k for n >= 2 without a prime factor below d >= 2:
-    a square (k = 2), or a k-th power for the least prime k from 3 to d >> 12
-    with one; else None.  factorize calls it at d = 2**j after trial division
-    from 2**(j-1), i.e. after d/4 divisions, so besides the square root it
-    takes at most one root per 2**10 of them."""
+    a square (k = 2), or a k-th power for the least prime k >= 3 with one;
+    else None.  Such a root is at least d, so only the primes k <= d / 4
+    with d**k <= n are tried."""
     r = isqrt(n)
     if r * r == n:
         return r, 2
     # r >= d, so n has at least k * (d.bit_length() - 1) + 1 bits
-    k_max = min(d >> 12, (n.bit_length() - 1) // (d.bit_length() - 1))
-    for k in range(3, k_max + 1, 2):
-        if is_prime(k):
+    k_max = min(d >> 2, (n.bit_length() - 1) // (d.bit_length() - 1))
+    for k in filter(is_prime, range(3, k_max + 1, 2)):
+        # a k-th power is one modulo each prime q = 1 (mod k); two such q that do
+        # not divide n leave about 1/k**2 of the other n to the Newton root
+        qs = (q for q in range(2 * k + 1, n, 2 * k) if is_prime(q) and n % q)
+        if all(pow(n, (q - 1) // k, q) == 1 for _, q in zip(range(2), qs)):
             r = _integer_root(n, k)
             if r**k == n:
                 return r, k
@@ -265,14 +266,16 @@ def additive_order(c: int, s: int) -> int:
 
 
 def gaussian_binomial(r: int, i: int, p: int) -> int:
-    """Number of i-dimensional subspaces of an r-dimensional vector space over F_p.
-
-    Computed as the exact quotient of the products (p^r - p^j) / (p^i - p^j)
-    over j = 0..i-1; the division is always exact.
-    """
+    """Number of i-dimensional subspaces of an r-dimensional vector space over F_p."""
     if i < 0 or i > r:
         raise ValueError(f"need 0 <= i <= r, got i={i}, r={r}")
     require_prime(p)
+    return _gaussian_binomial(r, i, p)
+
+
+def _gaussian_binomial(r: int, i: int, p: int) -> int:
+    """gaussian_binomial for 0 <= i <= r and a proven prime p: the exact
+    quotient of the products (p^r - p^j) / (p^i - p^j) over j = 0..i-1."""
     num = 1
     den = 1
     for j in range(i):

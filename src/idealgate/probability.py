@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .exactarith import InvariantError, Record, factorize, gaussian_binomial, require_prime
-from .census import _subgroups_closed, count_ideals_pp, count_subgroups_closed
+from .exactarith import InvariantError, Record, factorize, require_prime
+from .census import _p_group_count, count_ideals_pp, count_subgroups_closed
 
 
 class ProbabilityReport(Record):
@@ -27,10 +27,9 @@ class ProbabilityReport(Record):
 
 def prob_pp(p: int, r: int, s: int) -> ProbabilityReport:
     """Probability for Z_{p^r} x Z_{p^s}: (r+1)(s+1) ideals over the closed-form count."""
-    require_prime(p)
+    subgroups = count_subgroups_closed(p, r, s)  # proves p, checks r and s
     r, s = (r, s) if r <= s else (s, r)
     ideals = count_ideals_pp(r, s)
-    subgroups = count_subgroups_closed(p, r, s)
     return ProbabilityReport(
         f"Z_{p**r} x Z_{p**s}", ideals, subgroups, Fraction(ideals, subgroups)
     )
@@ -39,11 +38,11 @@ def prob_pp(p: int, r: int, s: int) -> ProbabilityReport:
 def prob_nm(n: int, m: int) -> ProbabilityReport:
     """Probability for Z_n x Z_m, multiplicative over the primes dividing n*m.
 
-    Per prime, the exponent pair is sorted ascending before the closed formula
-    applies.  Ideals count as d(n) * d(m) (one per divisor pair), read off the
-    same factorizations; both counts and the probability are exact.  The
-    primes come from factorize, which has proven them, so they are not proven
-    again; the counts stay integers up to the one Fraction of the report.
+    Per prime, the subgroup count comes from the census's counter core,
+    _p_group_count.  Ideals count as d(n) * d(m) (one per divisor pair), read
+    off the same factorizations; both counts and the probability are exact.
+    The primes come from factorize, which has proven them, so they are not
+    proven again; the counts stay integers up to the one Fraction of the report.
     """
     if n <= 0 or m <= 0:
         raise ValueError("moduli must be positive")
@@ -52,9 +51,9 @@ def prob_nm(n: int, m: int) -> ProbabilityReport:
     ideals = prod(e + 1 for e in exponents_n.values()) * prod(e + 1 for e in exponents_m.values())
     local_ideals = subgroups = 1
     for p in exponents_n.keys() | exponents_m.keys():
-        lo, hi = sorted((exponents_n.get(p, 0), exponents_m.get(p, 0)))
-        local_ideals *= count_ideals_pp(lo, hi)
-        subgroups *= _subgroups_closed(p, lo, hi)
+        r, s = exponents_n.get(p, 0), exponents_m.get(p, 0)
+        local_ideals *= count_ideals_pp(r, s)
+        subgroups *= _p_group_count(p, (r, s))
     # the ratio equals the product of the prime-wise ratios iff the ideal counts agree
     if ideals != local_ideals:
         raise InvariantError(f"prob_nm({n}, {m}): count ratio differs from the prime-wise product")
@@ -66,13 +65,12 @@ def count_subspaces(p: int, r: int) -> int:
     require_prime(p)
     if r < 0:
         raise ValueError("dimension must be nonnegative")
-    return sum(gaussian_binomial(r, i, p) for i in range(r + 1))
+    return _p_group_count(p, (1,) * r)
 
 
 def prob_vector_space(p: int, r: int) -> ProbabilityReport:
     """Probability for the r-fold product of Z_p: 2^r ideals over the subspace count."""
-    require_prime(p)
     if r < 1:
         raise ValueError("need at least one factor")
-    subgroups = count_subspaces(p, r)
+    subgroups = count_subspaces(p, r)  # proves p
     return ProbabilityReport(f"Z_{p}^{r}", 2**r, subgroups, Fraction(2**r, subgroups))

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, prod
 from pathlib import Path
 import pytest
@@ -12,12 +12,12 @@ import pytest
 import idealgate
 from idealgate import cli
 from idealgate.census import (
-    CENSUS_SUBGROUP_BOUND,
     SubgroupSet,
     _is_ideal_bits,
-    _subgroup_count,
+    _p_group_count,
     census_ideal_count,
     count_ideals_pp,
+    count_subgroups,
     count_subgroups_closed,
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
@@ -38,7 +38,7 @@ from idealgate.paper import (
     tuple_from_subgroup,
     tuple_to_subgroup,
 )
-from idealgate.probability import count_subspaces
+from idealgate.exactarith import gaussian_binomial
 from closure_oracle import (
     element_sets,
     is_ideal_exhaustive,
@@ -417,8 +417,9 @@ def test_census_cap():
 
 def test_census_stops_at_the_subgroup_bound(monkeypatch):
     # Z_2^6 has 2825 subgroups, one prime; Z_6 x Z_6 has 5 * 6 = 30, the
-    # 2-part's 5 times the 3-part's 6.  The CLI checks the same bound
-    assert cli.CENSUS_SUBGROUP_BOUND is CENSUS_SUBGROUP_BOUND
+    # 2-part's 5 times the 3-part's 6.  The CLI holds no copy of the bound:
+    # this check is the only census guard
+    assert "CENSUS_SUBGROUP_BOUND" not in vars(cli)
     for moduli, count in (((2,) * 6, 2825), ((6, 6), 30)):
         ring = ProductRing(moduli)
         monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", count)
@@ -469,7 +470,7 @@ def test_census_over_the_bound_stops_at_once():
 def test_census_running_count_backs_up_the_predicted_count(monkeypatch):
     # a counter that under-predicts lets the census start; the running count
     # still stops it once it passes the bound
-    monkeypatch.setattr("idealgate.census._subgroup_count", lambda moduli: 1)
+    monkeypatch.setattr("idealgate.census.count_subgroups", lambda moduli: 1)
     monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", 2824)
     with pytest.raises(EnumerationCapExceeded, match="at least 2825 subgroups"):
         enumerate_subgroups_bruteforce(ProductRing((2,) * 6))
@@ -480,19 +481,66 @@ def test_subgroup_count_matches_the_census():
     rings = _moduli_up_to(512, 4, least=1)
     assert len(rings) == 7562
     for moduli in rings:
-        assert _subgroup_count(moduli) == len(enumerate_subgroups_bruteforce(ProductRing(moduli))), moduli
+        assert count_subgroups(moduli) == len(enumerate_subgroups_bruteforce(ProductRing(moduli))), moduli
 
 
 def test_subgroup_count_matches_the_closed_forms():
-    # beyond the census's reach: Z_{p^r} x Z_{p^s} and Z_p^r.  At 10^9+7,
-    # factorize takes up to k * 2**12 trial divisions on p**k for a prime k,
-    # so the exponents there skip the large primes
-    for p, exponents in ((2, range(41)), (3, range(41)), (5, range(41)), (10**9 + 7, (*range(9), 16, 32, 40))):
-        for r in exponents:
-            for s in exponents:
-                assert _subgroup_count((p**r, p**s)) == count_subgroups_closed(p, r, s), (p, r, s)
+    # beyond the census's reach, against formulas that do not run through the
+    # counter: Z_{p^r} x Z_{p^s} against the sum over quotient orders, and Z_p^r
+    # against the sum of Gaussian binomials and the Goldman-Rota recurrence
+    # G_{r+1} = 2 G_r + (p^r - 1) G_{r-1}.  Every p**r at 10^9+7 factors
+    # after 2**7 trial divisions, whatever r
+    for p in (2, 3, 5, 10**9 + 7):
+        for r in range(41):
+            for s in range(41):
+                assert count_subgroups((p**r, p**s)) == count_subgroups_sum(p, r, s), (p, r, s)
+        goldman_rota = [1, 2]
+        for r in range(1, 12):
+            goldman_rota.append(2 * goldman_rota[r] + (p**r - 1) * goldman_rota[r - 1])
         for r in range(13):
-            assert _subgroup_count((p,) * r) == count_subspaces(p, r), (p, r)
+            subspaces = sum(gaussian_binomial(r, i, p) for i in range(r + 1))
+            assert count_subgroups((p,) * r) == subspaces == goldman_rota[r], (p, r)
+
+
+def _birkhoff_delsarte_sum(p, lam):
+    """Subgroup count of the abelian p-group of type lam: the Birkhoff-Delsarte
+    count of the subgroups of type mu, summed directly over every mu inside lam."""
+    lam = sorted(lam, reverse=True)
+
+    def conjugate(parts):
+        return [sum(a >= i for a in parts) for i in range(1, lam[0] + 2)]
+
+    lc = conjugate(lam)
+    total = 0
+    for mu in product(*[range(a + 1) for a in lam]):
+        if list(mu) != sorted(mu, reverse=True):
+            continue
+        mc = conjugate(mu)
+        term = 1
+        for i in range(lam[0]):
+            term *= p ** (mc[i + 1] * (lc[i] - mc[i])) * gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
+        total += term
+    return total
+
+
+def test_subgroup_count_matches_the_direct_sum_above_rank_2():
+    # beyond the census's reach, rank 3 and 4: every type with parts <= 5
+    assert _birkhoff_delsarte_sum(2, (1, 1, 1)) == 16 and _birkhoff_delsarte_sum(2, (2, 1)) == 8
+    for p in (2, 3):
+        for rank in (3, 4):
+            for lam in combinations_with_replacement(range(1, 6), rank):
+                assert count_subgroups([p**a for a in lam]) == _birkhoff_delsarte_sum(p, lam), (p, lam)
+
+
+def test_p_group_count_proves_no_primes(monkeypatch):
+    # its callers pass proven primes, so the core reads its Gaussian binomials
+    # from exactarith's formula without asking is_prime
+    def refuse(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr("idealgate.exactarith.is_prime", refuse)
+    assert _p_group_count(2, (3, 2, 1)) == 81
+    assert _p_group_count(3, (1,) * 8) == 127_902_864
 
 
 def test_subgroup_set_rejects_duplicates():

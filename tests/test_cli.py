@@ -11,6 +11,7 @@ import pytest
 
 import idealgate
 from idealgate import cli
+from idealgate.census import CENSUS_SUBGROUP_BOUND
 from idealgate.cli import run
 
 SRC = str(Path(idealgate.__file__).resolve().parents[1])
@@ -151,17 +152,18 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
     ],
 )
 def test_census_bounded_by_its_predicted_subgroup_count(capsys, monkeypatch, argv, predicted):
-    # each route hands the census the count its formulas predict; a bound of
-    # exactly that count runs it, one less stops it before it starts
-    monkeypatch.setattr(cli, "CENSUS_SUBGROUP_BOUND", predicted)
+    # every route's census checks its own count of the ring's subgroups, the
+    # only guard: a bound of exactly that count runs it, one less stops it
+    # before it starts
+    monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", predicted)
     code, doc = invoke_json(capsys, *argv.split(), "--verify")
     assert code == 0 and doc["oracle_checked"] is True
-    monkeypatch.setattr(cli, "CENSUS_SUBGROUP_BOUND", predicted - 1)
+    monkeypatch.setattr("idealgate.census.CENSUS_SUBGROUP_BOUND", predicted - 1)
     assert run([*argv.split(), "--verify"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: the census would enumerate {predicted} subgroups, "
+        f"error: the census counts at least {predicted} subgroups, "
         f"over the bound of {predicted - 1} subgroups per census\n"
     )
 
@@ -175,7 +177,16 @@ def test_census_bound_is_not_the_cap(capsys, monkeypatch):
     assert run(argv) == 3
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 2 and len(set(errors)) == 1
-    assert "8283458 subgroups" in errors[0] and f"{cli.CENSUS_SUBGROUP_BOUND} subgroups" in errors[0]
+    assert "8283458 subgroups" in errors[0] and f"{CENSUS_SUBGROUP_BOUND} subgroups" in errors[0]
+
+
+def test_census_checks_the_cap_before_the_bound(capsys):
+    # Z_2^9 is over both the census cap of 100 and the subgroup bound: the
+    # cap, checked first, names the ring order
+    assert run(["prob", "--p", "2", "--dim", "9", "--verify", "--cap", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ring order 512 exceeds the census cap 100\n"
 
 
 def test_large_censuses_exit_3_within_seconds():

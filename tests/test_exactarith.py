@@ -158,14 +158,43 @@ def test_factorize_roots_are_exact():
             assert exactarith._integer_root(n - 1, k) == r - 1
             assert exactarith._integer_root(n + 1, k) == r
     # _power_root at d, the greatest power of two up to the root, finds
-    # squares, and k-th powers for a prime k >= 3 once k <= d >> 12
+    # squares, and k-th powers for the primes 3 <= k <= d / 4
     for k in (2, 3, 5, 7, 11, 97, 211):
         for r in (2**16 + 1, 10**6 + 3, 2**61 - 1):
             d = 1 << (r.bit_length() - 1)
             n = r**k
-            expected = (r, k) if k == 2 or k <= d >> 12 else None
-            assert exactarith._power_root(n, d) == expected, (r, k)
+            assert exactarith._power_root(n, d) == (r, k), (r, k)
             assert exactarith._power_root(n + 2, d) is None
+    assert exactarith._power_root(257**61, 256) == (257, 61)
+    assert exactarith._power_root(257**67, 256) is None
+    # 607 is the least prime q = 1 (mod 101); it divides 607**101, so the
+    # residue check passes over it to the next such prime
+    assert exactarith._power_root(607**101, 512) == (607, 101)
+
+
+def test_power_search_cost(monkeypatch):
+    # a root with no prime factor below the first checkpoint, 2**8, is found
+    # there for k <= 2**8 / 4: trial division stops after 2**7 divisors
+    calls = []
+
+    def counting(n, d):
+        calls.append(d)
+        return power_root(n, d)
+
+    power_root = exactarith._power_root
+    monkeypatch.setattr(exactarith, "_power_root", counting)
+    p = 10**9 + 7
+    for k in (23, 37, 61):
+        calls.clear()
+        assert factorize(p**k) == [(p, k)]
+        assert calls == [2**8], k
+    # no power, 3831 bits: the residue checks rule out every k-th power
+    # without a Newton root, where the roots alone would take 934 steps
+    roots = []
+    monkeypatch.setattr(exactarith, "_integer_root", lambda n, k: roots.append(k))
+    primes = [q for q in range(301, 3000, 2) if is_prime(q)]
+    assert factorize(prod(primes)) == [(q, 1) for q in primes]
+    assert roots == []
 
 
 def test_is_prime_rejects_strong_pseudoprimes():
