@@ -36,13 +36,16 @@ from .finite import (
 # subgroup but the trivial one, from its first-axis parent, found by scanning
 # the parent's cosets in a G[e] mask (one mask per e); a closure is a few
 # doubling steps, each a few shifts and masks of order-bit integers, so the
-# cost follows the subgroup count more than the order.  Census and ideal
-# tally leave the members as bitsets, so no element tuple is built.  On a
-# shared 2-core x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups) takes
-# about 0.02-0.03 s, Z_64 x Z_128 (494 subgroups) 0.01-0.02 s, Z_10000
-# 0.002-0.003 s, and Z_2^6 (order 64, 2825 subgroups) 0.02-0.03 s.  Reading
-# members then decodes them: 0.13 s more for Z_96 x Z_96, 0.02-0.03 s for
-# Z_2^6.
+# cost follows the subgroup count more than the order.  On a shared 2-core
+# x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups) takes about
+# 0.02-0.03 s, Z_64 x Z_128 (494 subgroups) 0.01-0.02 s, Z_10000
+# 0.002-0.003 s, and Z_2^6 (order 64, 2825 subgroups) 0.02-0.03 s.  Census
+# and ideal tally leave the members as bitsets.  The census's one element
+# list (bit index -> element, for the scanned cosets) stays: it costs 0.07 of
+# 2.3 ms on Z_32 x Z_64 and 0.7 of 20 ms on Z_96 x Z_96 (min of 5), while
+# decoding each index through the strides made the benchmark's 18 census
+# rings 10-30% slower.  Reading members decodes every member: 0.13 s more
+# for Z_96 x Z_96, 0.02-0.03 s for Z_2^6.
 DEFAULT_CENSUS_CAP = 10_000
 
 # Max subgroup count of a census, fixed: its time and memory follow the
@@ -53,9 +56,6 @@ DEFAULT_CENSUS_CAP = 10_000
 # compares count_subgroups against it before a census starts, and stops once
 # its running count passes it.
 CENSUS_SUBGROUP_BOUND = 500_000
-
-# byte b -> b with its eight bits in reverse order
-_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def count_subgroups_closed(p: int, r: int, s: int) -> int:
@@ -164,10 +164,8 @@ def enumerate_subgroups_bruteforce(
     found before it, and a subgroup's generators are its parent's, then g:
     at most one per axis.  exp(<P, g>) is lcm(exp(P), |<g>|).
 
-    The result holds the bitsets, sorted by (order, sorted elements), and
-    decodes them into FiniteSubgroups only when members is read; bit order is
-    the lexicographic order of ring.elements(), so a member's bitset,
-    mirrored, sorts like its sorted elements (in reverse).
+    The result holds the bitsets, sorted by (order, bitset value), and
+    decodes them into FiniteSubgroups only when members is read.
     """
     if ring.order > max_order:
         raise EnumerationCapExceeded(
@@ -214,17 +212,7 @@ def enumerate_subgroups_bruteforce(
                         exponents[k_bits] = lcm(
                             exp_parent, *[n_i // gcd(x, n_i) for x, n_i in zip(g, moduli)]
                         )
-    nbytes = (ring.order + 7) // 8
-
-    def key(bits: int) -> tuple[int, int]:
-        # bytes in reverse order, each byte mirrored: bit e moves to place
-        # 8*nbytes-1-e.  For two sets of one size, the first bit e where they
-        # differ is in the one with the smaller sorted element list
-        # (elements[e] against a larger element), whose value is larger
-        mirrored = bits.to_bytes(nbytes, "little").translate(_BIT_REVERSE)
-        return bits.bit_count(), -int.from_bytes(mirrored, "big")
-
-    bitsets = tuple(sorted(generators, key=key))
+    bitsets = tuple(sorted(generators, key=lambda bits: (bits.bit_count(), bits)))
     return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
 
 

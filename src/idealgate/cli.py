@@ -294,7 +294,7 @@ def _handle_verify(args: argparse.Namespace, cap: int) -> _Answer:
                 "m": m,
                 "probability": _fraction_doc(report.probability),
                 "census_probability": _fraction_doc(ratio),
-                "ok": ratio == report.probability,
+                "ok": (subgroups, ideals) == (report.subgroup_count, report.ideal_count),
             }
         )
     ok = all(row["ok"] for row in rows)

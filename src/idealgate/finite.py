@@ -97,7 +97,7 @@ class ProductRing(Record):
 
 
 class FiniteSubgroup(Record):
-    """Subgroup of a product ring given by at most arity-many generators.
+    """Subgroup of a product ring given by any number of generators.
 
     elements, when present, is the full materialized element set; it must be
     the closure of the generators (constructors in this package guarantee it).
@@ -112,8 +112,6 @@ class FiniteSubgroup(Record):
         elements: frozenset[tuple[int, ...]] | None = None,
     ) -> None:
         reduced = tuple(ring.reduce(g) for g in generators)
-        if len(reduced) > ring.arity:
-            raise ValueError(f"{len(reduced)} generators exceed the arity bound {ring.arity}")
         if elements is not None:
             if ring.zero() not in elements:
                 raise ValueError("materialized subgroup must contain zero")
@@ -130,10 +128,8 @@ class FiniteSubgroup(Record):
         return FiniteSubgroup(self.ring, self.generators, closure(self.ring, self.generators, cap))
 
     def order(self) -> int:
-        """Subgroup order: the element count when materialized, else the index
-        of n1*Z x ... x nk*Z in the lifted lattice (exact at any ring size)."""
-        if self.elements is not None:
-            return len(self.elements)
+        """Subgroup order: the index of n1*Z x ... x nk*Z in the lifted lattice
+        (exact at any ring size)."""
         basis = _lifted_basis(self).matrix
         return self.ring.order // prod(basis.at(j, j) for j in range(basis.cols))
 

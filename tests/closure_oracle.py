@@ -1,18 +1,23 @@
 """Tuple-arithmetic subgroup oracles shared by the test modules: independent
 of the bitset engine that closure() and the census run on."""
 
+from operator import add, mod
+
 
 def tuple_closure(ring, generators):
     """Additive closure by tuple arithmetic, one coset of H at a time: the
     oracle for the bitset engine, which closure() and the census share."""
+    moduli = ring.moduli
     elems = {ring.zero()}
     for g in generators:
         g = ring.reduce(g)
+        if g in elems:
+            continue  # g + H is H
         # g + H, 2g + H, ... are new cosets until k*g + H is H again
-        coset = {ring.add(g, x) for x in elems}
+        coset = {tuple(map(mod, map(add, g, x), moduli)) for x in elems}
         while not coset <= elems:
             elems |= coset
-            coset = {ring.add(g, x) for x in coset}
+            coset = {tuple(map(mod, map(add, g, x), moduli)) for x in coset}
     return frozenset(elems)
 
 
@@ -48,8 +53,14 @@ def is_ideal_exhaustive(subgroup):
 def is_ideal_set(ring, elements):
     """The element set is closed under multiplication by every coordinate
     idempotent; these generate the ring additively, so this is r*h in H for
-    every ring element r and every h in H."""
-    return all(ring.project(h, i) in elements for h in elements for i in range(ring.arity))
+    every ring element r and every h in H.  The projection of h onto axis i
+    depends only on h_i, so each value of h_i is checked once."""
+    zero = ring.zero()
+    return all(
+        zero[:i] + (v,) + zero[i + 1 :] in elements
+        for i in range(ring.arity)
+        for v in {h[i] for h in elements}
+    )
 
 
 def element_sets(census):

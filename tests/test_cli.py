@@ -115,12 +115,19 @@ def test_verify_command(capsys):
     assert checks == {"prime_power_census", "probability"}
 
 
+def test_more_generators_than_moduli_are_decided(capsys):
+    for flags in ((), ("--verify",)):
+        code, doc = invoke_json(capsys, "ideal", "zn", "--moduli", "4,2", "--gens", "1,0;0,1;1,1", *flags)
+        assert code == 0 and doc["verdict"] == "ideal", flags
+        code, doc = invoke_json(capsys, "order", "--moduli", "6", "--gens", "2;3", *flags)
+        assert code == 0 and doc["verdict"] == 6, flags
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["bogus"]) == 2
     assert run([]) == 2
     assert invoke(capsys, "ideal", "zd", "--gens", "2,x;1,0")[0] == 2
     assert invoke(capsys, "ideal", "zn", "--moduli", "0,2", "--gens", "1,0")[0] == 2
-    assert invoke(capsys, "ideal", "zn", "--moduli", "4,2", "--gens", "1,0;0,1;1,1")[0] == 2
     assert invoke(capsys, "census", "--p", "6", "--r", "1", "--s", "1")[0] == 2
     assert invoke(capsys, "census", "--p", "2", "--r", "-1", "--s", "1")[0] == 2
 
@@ -336,9 +343,15 @@ def test_verify_materializes_at_the_cap():
         "import resource, sys\n"
         "from idealgate.cli import run\n"
         "print([run(a.split()) for a in sys.argv[1:]])\n"
-        # ru_maxrss is in KiB, in bytes on macOS
-        "kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(kib // 1024 if sys.platform == 'darwin' else kib)\n"
+        # on Linux, ru_maxrss also counts the RSS of the forking test process,
+        # so read this process's own peak, VmHWM (KiB); ru_maxrss is in bytes
+        # on macOS
+        "try:\n"
+        "    status = open('/proc/self/status').read().split()\n"
+        "    print(status[status.index('VmHWM:') + 1])\n"
+        "except OSError:\n"
+        "    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print(kib // 1024 if sys.platform == 'darwin' else kib)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=ENV, timeout=60
@@ -542,6 +555,22 @@ def test_verify_mismatch_exits_4(capsys, monkeypatch):
     code, doc = invoke_json(capsys, "verify", "--primes", "2", "--max-order", "4", "--max-nm", "2")
     assert code == 4 and doc["verdict"] == "mismatch" and doc["oracle_checked"] is True
     assert not any(row["ok"] for row in doc["rows"])
+
+
+def test_verify_compares_counts_not_only_their_ratio(capsys, monkeypatch):
+    # doubling both census counts of Z_2 x Z_2 keeps their ratio, 4/5
+    census_counts = cli._census_counts
+
+    def doubled(moduli, cap):
+        subgroups, ideals = census_counts(moduli, cap)
+        return (2 * subgroups, 2 * ideals) if tuple(moduli) == (2, 2) else (subgroups, ideals)
+
+    monkeypatch.setattr(cli, "_census_counts", doubled)
+    code, doc = invoke_json(capsys, "verify", "--primes", "2", "--max-order", "2", "--max-nm", "2")
+    assert code == 4 and doc["verdict"] == "mismatch"
+    bad = [row for row in doc["rows"] if not row["ok"]]
+    assert [(row["n"], row["m"]) for row in bad] == [(2, 2)]
+    assert bad[0]["census_probability"] == bad[0]["probability"] == {"num": 4, "den": 5}
 
 
 def test_module_entry_point():

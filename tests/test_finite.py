@@ -20,7 +20,7 @@ from idealgate.finite import (
 )
 from idealgate.lattice import IntMatrix, canonical_basis, member
 from idealgate.paper import cyclic_is_ideal, kernel_sum_order_mod_lcm, subgroup_order_two_gen
-from closure_oracle import tuple_closure
+from closure_oracle import is_ideal_set, tuple_closure
 
 
 # === ring and subgroup plumbing ===
@@ -51,12 +51,14 @@ def test_ring_operations():
         ring.reduce((1, 2, 3))
 
 
-def test_subgroup_reduces_generators_and_bounds_count():
+def test_subgroup_reduces_generators_and_takes_any_count():
     ring = ProductRing((4, 2))
     sub = FiniteSubgroup(ring, ((6, 3), (-1, 1)))
     assert sub.generators == ((2, 1), (3, 1))
-    with pytest.raises(ValueError):
-        FiniteSubgroup(ring, ((1, 0), (0, 1), (1, 1)))
+    # more generators than factors: <(1, 0), (0, 1), (1, 1)> is the whole ring
+    whole = FiniteSubgroup(ring, ((1, 0), (0, 1), (1, 1)))
+    assert whole.order() == 8 and general_is_ideal(whole)
+    assert FiniteSubgroup(ring, ((2, 0), (0, 1), (2, 1))).order() == 4
 
 
 def test_materialized_invariants_checked():
@@ -330,29 +332,37 @@ def test_general_decides_at_any_ring_size():
 
 
 def test_lattice_core_matches_closure_and_bruteforce():
-    # tuple closure and the idempotent predicate share no code with the lattice
-    # core or the bitset engine
+    # tuple closure and the idempotent predicates share no code with the lattice
+    # core or the bitset engine.  Each ring gets a generating set of at most
+    # k vectors, k its number of factors, and one of 0 to 2k+1 vectors, drawn
+    # from a second generator
     rng = random.Random(4242)
+    wide_rng = random.Random(4343)
     pool = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32, 64)
-    ideals = 0
+    ideals = [0, 0]
+    past_arity = 0
     for _ in range(3000):
         while True:
             moduli = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
             if prod(moduli) <= 4096:
                 break
         ring = ProductRing(moduli)
-        gens = tuple(
-            tuple(rng.randrange(n) if rng.random() < 0.8 else 0 for n in moduli)
-            for _ in range(rng.randint(0, ring.arity))
-        )
-        sub = FiniteSubgroup(ring, gens)
-        elements = tuple_closure(ring, gens)
-        assert closure(ring, gens) == elements, (moduli, gens)
-        assert sub.order() == len(elements), (moduli, gens)
-        verdict = general_is_ideal(sub)
-        assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
-        ideals += verdict
-    assert 300 < ideals < 3000 - 300  # both verdicts well represented
+        for wide, (r, most) in enumerate(((rng, ring.arity), (wide_rng, 2 * ring.arity + 1))):
+            gens = tuple(
+                tuple(r.randrange(n) if r.random() < 0.8 else 0 for n in moduli)
+                for _ in range(r.randint(0, most))
+            )
+            past_arity += len(gens) > ring.arity
+            sub = FiniteSubgroup(ring, gens)
+            elements = tuple_closure(ring, gens)
+            assert closure(ring, gens) == elements, (moduli, gens)
+            assert sub.order() == len(elements), (moduli, gens)
+            verdict = general_is_ideal(sub)
+            assert verdict == is_ideal_set(ring, elements), (moduli, gens)
+            assert verdict == is_ideal_bruteforce(FiniteSubgroup(ring, gens, elements)), (moduli, gens)
+            ideals[wide] += verdict
+    assert 300 < ideals[0] < 3000 - 300  # both verdicts well represented
+    assert ideals[1] < 3000 and past_arity > 1000
 
 
 def test_lifted_basis_equals_canonical_basis_of_generators_and_moduli():
