@@ -1,6 +1,9 @@
 """Exact ideal tests, subgroup censuses, and ideal probabilities for Z^d and finite product rings.
 
 The paper's special criteria are theorems in idealgate.paper, not imported here.
+The references that only the benchmark and the tests call (closure,
+is_ideal_bruteforce, kernel_lattice, twogen_is_ideal) are imported from their
+modules, not from here.
 """
 
 from .exactarith import (
@@ -27,12 +30,8 @@ from .finite import (
     DEFAULT_MATERIALIZE_CAP,
     EnumerationCapExceeded,
     FiniteSubgroup,
-    KernelLattice,
     ProductRing,
-    closure,
     general_is_ideal,
-    kernel_lattice,
-    twogen_is_ideal,
 )
 from .census import (
     DEFAULT_CENSUS_CAP,
@@ -43,7 +42,6 @@ from .census import (
     count_subgroups_closed,
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
-    is_ideal_bruteforce,
 )
 from .probability import (
     ProbabilityReport,
@@ -63,7 +61,6 @@ __all__ = [
     "IdealWitness",
     "IntMatrix",
     "InvariantError",
-    "KernelLattice",
     "LatticeBasis",
     "ProbabilityReport",
     "ProductRing",
@@ -73,7 +70,6 @@ __all__ = [
     "adjugate",
     "canonical_basis",
     "census_ideal_count",
-    "closure",
     "count_ideals_pp",
     "count_subgroups",
     "count_subgroups_closed",
@@ -85,14 +81,11 @@ __all__ = [
     "fullrank_is_ideal",
     "gaussian_binomial",
     "general_is_ideal",
-    "is_ideal_bruteforce",
     "is_ideal_zd",
     "is_prime",
-    "kernel_lattice",
     "member",
     "prob_nm",
     "prob_pp",
     "prob_vector_space",
-    "twogen_is_ideal",
     "xgcd",
 ]

@@ -18,7 +18,7 @@ census.py close subgroups on one bitset engine, _TranslationEngine.
 
 The paper's criteria for Z_n x Z_m are theorems in paper.py.  The kernel
 lattices and twogen_is_ideal stay here only because the benchmark in
-perfbench/ reads them from this module (see the comment above KernelLattice).
+perfbench/ reads them from this module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exactarith import InvariantError, Record, additive_order, xgcd
-from .lattice import IntMatrix, LatticeBasis, _echelon_basis, canonical_basis, member
+from .lattice import IntMatrix, LatticeBasis, _echelon_basis, canonical_basis
 
 # Max ring order to close, for --verify on ideal zn and order and for
 # materialize.  At the cap on a shared 2-core x86-64 host, --verify closes all
@@ -285,34 +285,17 @@ def closure(
 
 # Kernel lattices for the paper's Z_n x Z_m criteria.  They stay here, not in
 # paper.py: perfbench calls cache_clear/cache_info on finite.kernel_lattice,
-# so it stays an lru_cache in this module, with KernelLattice and
-# _two_generators beside it (paper.py imports all three).
-class KernelLattice(Record):
-    """Full-rank sublattice {(x, y) in Z^2 : alpha*x + beta*y == 0 mod n}."""
-
-    __slots__ = ("modulus", "basis")
-
-    def __init__(self, modulus: int, basis: LatticeBasis) -> None:
-        if basis.ambient_dim != 2 or basis.rank != 2:
-            raise ValueError("kernel lattice must have full rank in Z^2")
-        if not (member((modulus, 0), basis) and member((0, modulus), basis)):
-            raise ValueError("kernel lattice must contain n*Z^2")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "basis", basis)
-
-    def index(self) -> int:
-        """Index in Z^2 (product of the two pivots of the canonical basis)."""
-        m = self.basis.matrix
-        return m.at(0, 0) * m.at(1, 1)
-
-
+# so it stays an lru_cache in this module, with _two_generators beside it
+# (paper.py imports both).
 @lru_cache(maxsize=None)
-def kernel_lattice(alpha: int, beta: int, n: int) -> KernelLattice:
+def kernel_lattice(alpha: int, beta: int, n: int) -> LatticeBasis:
     """Canonical basis of the kernel of (x, y) -> alpha*x + beta*y mod n.
 
     Generators come from the extended gcd: the homogeneous solution of
     alpha*x + beta*y = 0 over Z plus a lift of n/gcd(alpha, beta, n) through a
-    Bezout pair; together they span the whole kernel.
+    Bezout pair; together they span the whole kernel.  They include (n, 0)
+    and (0, n), or are the identity when alpha = beta = 0 mod n, so the
+    kernel has full rank and contains n*Z^2.
     """
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -329,12 +312,13 @@ def kernel_lattice(alpha: int, beta: int, n: int) -> KernelLattice:
             (0, n),
         ]
     basis = canonical_basis(IntMatrix.from_columns(cols, rows=2))
-    lat = KernelLattice(n, basis)
-    if lat.index() * gcd(a, b, n) != n or any(
-        (a * vx + b * vy) % n for vx, vy in basis.matrix.columns()
+    m = basis.matrix
+    # the index in Z^2 is the product of the two pivots
+    if m.at(0, 0) * m.at(1, 1) * gcd(a, b, n) != n or any(
+        (a * vx + b * vy) % n for vx, vy in m.columns()
     ):
         raise InvariantError(f"kernel_lattice({alpha}, {beta}, {n}) is not the exact kernel")
-    return lat
+    return basis
 
 
 # Not a production route: perfbench's decide workload reads it from here as
@@ -349,9 +333,7 @@ def twogen_is_ideal(n: int, m: int, g1: Sequence[int], g2: Sequence[int]) -> boo
     (a, b), (c, d) = _two_generators(n, m, g1, g2)
     k1 = kernel_lattice(a, c, n)
     k2 = kernel_lattice(b, d, m)
-    total = canonical_basis(
-        IntMatrix.from_columns(k1.basis.matrix.columns() + k2.basis.matrix.columns(), rows=2)
-    )
+    total = canonical_basis(IntMatrix.from_columns(k1.matrix.columns() + k2.matrix.columns(), rows=2))
     return total.matrix == IntMatrix.identity(2)
 
 

@@ -181,9 +181,12 @@ class LatticeBasis(Record):
 
 def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], dim: int) -> None:
     # Echelon insertion: combine vec against existing pivots until it dies or
-    # lands in a free pivot row.  Keeps pivot rows sorted.  Each combination
-    # clears vec[lead] and touches only rows at or below it, so the lead and
-    # its place k among the pivots only move forward.
+    # lands in a free pivot row.  Keeps pivot rows sorted and every pivot
+    # positive.  Each combination clears vec[lead] and touches only rows at or
+    # below it, so the lead and its place k among the pivots only move forward.
+    # A column changed by xgcd is size-reduced against the later pivots at
+    # once (Cohen 1993, 2.4), so entries stay near the final basis's size
+    # instead of growing with every combination.
     lead = k = 0
     rank = len(pivots)
     while True:
@@ -194,6 +197,8 @@ def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], di
         while k < rank and pivots[k] < lead:
             k += 1
         if k == rank or pivots[k] != lead:
+            if vec[lead] < 0:
+                vec = [-x for x in vec]
             basis.insert(k, vec)
             pivots.insert(k, lead)
             return
@@ -210,6 +215,11 @@ def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], di
                 ai, ci = col[i], vec[i]
                 col[i] = x * ai + y * ci
                 vec[i] = au * ci - cu * ai
+            for later, p in zip(basis[k + 1 :], pivots[k + 1 :]):
+                q = col[p] // later[p]
+                if q:
+                    for i in range(p, dim):
+                        col[i] -= q * later[i]
 
 
 def _echelon_basis(
@@ -219,16 +229,11 @@ def _echelon_basis(
 
     basis holds the start's columns (length dim, modified in place) and
     pivots their pivot rows, strictly increasing: each column is zero above
-    its pivot row and nonzero there.  The columns are inserted, then every
-    pivot is made positive and the entries left of it reduced into
-    [0, pivot).
+    its pivot row and positive there.  The columns are inserted, then the
+    entries left of every pivot are reduced into [0, pivot).
     """
     for vec in columns:
         _insert_column(basis, pivots, list(vec), dim)
-    for col, p in zip(basis, pivots):
-        if col[p] < 0:
-            for i in range(p, dim):
-                col[i] = -col[i]
     for j in range(len(basis)):
         p = pivots[j]
         pivot = basis[j][p]

@@ -82,10 +82,7 @@ def kernel_sum_order_mod_lcm(n: int, m: int, g1: Sequence[int], g2: Sequence[int
     (a, b), (c, d) = _two_generators(n, m, g1, g2)
     l = lcm(n, m)
     square = ProductRing((l, l))
-    gens = (
-        kernel_lattice(a, c, n).basis.matrix.columns()
-        + kernel_lattice(b, d, m).basis.matrix.columns()
-    )
+    gens = kernel_lattice(a, c, n).matrix.columns() + kernel_lattice(b, d, m).matrix.columns()
     return _closure_bits(square, gens).bit_count()
 
 
@@ -99,7 +96,7 @@ def subgroup_order_two_gen(n: int, m: int, g1: Sequence[int], g2: Sequence[int])
     (a, b), (c, d) = _two_generators(n, m, g1, g2)
     size_a1 = n // gcd(a, c, n)
     k1 = kernel_lattice(a, c, n)
-    images = [(b * vx + d * vy) % m for vx, vy in k1.basis.matrix.columns()]
+    images = [(b * vx + d * vy) % m for vx, vy in k1.matrix.columns()]
     size_b2 = m // gcd(m, *images)
     return size_a1 * size_b2
 

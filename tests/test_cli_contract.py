@@ -4,11 +4,13 @@ document.  Runs in-process and starts no process.
 
 Inputs are bounded so that nothing factors or censuses for long: integers up
 to 10^6 in absolute value, rings under --verify up to order 10^4, verify's
---max-order up to 256 and --max-nm up to 12.
+--max-order up to 256 and --max-nm up to 12.  One explicit case checks a
+40 x 40 ideal zd, far above the generated dimensions.
 """
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -115,3 +117,19 @@ def test_exit_codes_and_stdout_follow_the_contract(monkeypatch, argv, env_cap):
     else:
         assert stdout.endswith("\n") and stdout.count("\n") == 1, argv
         assert isinstance(json.loads(stdout), dict), argv
+
+
+def test_a_40_by_40_ideal_zd_is_one_json_document(monkeypatch):
+    # the echelon core size-reduces as it goes, so this takes milliseconds;
+    # with entries left to grow this draw ran past 25 s
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    rng = random.Random(0)
+    gens = ";".join(",".join(str(rng.randint(0, 99)) for _ in range(40)) for _ in range(40))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.run(["ideal", "zd", "--gens", gens])
+    assert code == 0
+    stdout = out.getvalue()
+    assert stdout.endswith("\n") and stdout.count("\n") == 1
+    document = json.loads(stdout)
+    assert document["ring"] == {"kind": "zd", "dim": 40} and document["verdict"] == "not_ideal"

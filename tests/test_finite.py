@@ -10,7 +10,6 @@ from idealgate.census import is_ideal_bruteforce
 from idealgate.finite import (
     EnumerationCapExceeded,
     FiniteSubgroup,
-    KernelLattice,
     ProductRing,
     _lifted_basis,
     closure,
@@ -162,13 +161,19 @@ def test_cyclic_three_factor_sweep():
 # === kernel lattices ===
 
 
+def _index(basis):
+    """Index in Z^2 of a full-rank canonical basis: the product of its two pivots."""
+    m = basis.matrix
+    return m.at(0, 0) * m.at(1, 1)
+
+
 def test_kernel_lattice_frozen_examples():
-    assert kernel_lattice(1, 0, 5).basis.matrix.columns() == [(5, 0), (0, 1)]
-    assert kernel_lattice(0, 0, 4).basis.matrix == IntMatrix.identity(2)
+    assert kernel_lattice(1, 0, 5).matrix.columns() == [(5, 0), (0, 1)]
+    assert kernel_lattice(0, 0, 4).matrix == IntMatrix.identity(2)
     k = kernel_lattice(1, 1, 2)
-    assert k.index() == 2
-    assert member((1, 1), k.basis) and member((2, 0), k.basis)
-    assert not member((1, 0), k.basis)
+    assert _index(k) == 2
+    assert member((1, 1), k) and member((2, 0), k)
+    assert not member((1, 0), k)
 
 
 def test_kernel_lattice_rejects_bad_modulus():
@@ -181,11 +186,11 @@ def test_kernel_lattice_postconditions_sweep():
         for alpha in range(n):
             for beta in range(n):
                 k = kernel_lattice(alpha, beta, n)
-                cols = k.basis.matrix.columns()
-                assert all((alpha * x + beta * y) % n == 0 for x, y in cols)
-                assert member((n, 0), k.basis) and member((0, n), k.basis)
-                assert k.index() == n // gcd(alpha, beta, n)
-                assert (n * n) % k.index() == 0
+                assert k.rank == 2
+                assert all((alpha * x + beta * y) % n == 0 for x, y in k.matrix.columns())
+                assert member((n, 0), k) and member((0, n), k)
+                assert _index(k) == n // gcd(alpha, beta, n)
+                assert (n * n) % _index(k) == 0
 
 
 def test_kernel_lattice_is_exact_kernel():
@@ -197,12 +202,7 @@ def test_kernel_lattice_is_exact_kernel():
                 for x in range(-n, n + 1):
                     for y in range(-n, n + 1):
                         expected = (alpha * x + beta * y) % n == 0
-                        assert member((x, y), k.basis) == expected
-
-
-def test_kernel_lattice_validation():
-    with pytest.raises(ValueError):
-        KernelLattice(4, kernel_lattice(0, 1, 3).basis)  # does not contain (4,0)/(0,4)
+                        assert member((x, y), k) == expected
 
 
 # === two-generator criterion ===

@@ -1,4 +1,4 @@
-"""The value-object contract of the package's ten immutable record classes.
+"""The value-object contract of the package's nine immutable record classes.
 
 Each class is built by keyword, positionally and from its defaults; equal
 instances compare and hash equal, a record never equals an instance of another
@@ -14,14 +14,13 @@ from fractions import Fraction
 import pytest
 
 from idealgate.census import SubgroupSet, enumerate_subgroups_bruteforce
-from idealgate.finite import FiniteSubgroup, KernelLattice, ProductRing
+from idealgate.finite import FiniteSubgroup, ProductRing
 from idealgate.lattice import IdealWitness, IntMatrix, LatticeBasis, ZdDecision, canonical_basis
 from idealgate.paper import GoursatTuple
 from idealgate.probability import ProbabilityReport
 
 RING = ProductRing((4, 2))
 BASIS = canonical_basis(IntMatrix.from_columns([(2, 0), (2, 1)]))
-KERNEL_BASIS = canonical_basis(IntMatrix.from_columns([(1, 1), (2, 0)]))
 
 # (class, keyword arguments, repr); the reprs are those the classes had as
 # frozen dataclasses, which README's doctest also prints
@@ -48,12 +47,6 @@ CASES = [
         # one element: a frozenset's repr order is its hash table's
         dict(ring=RING, generators=((0, 0),), elements=frozenset({(0, 0)})),
         "FiniteSubgroup(ring=ProductRing(moduli=(4, 2)), generators=((0, 0),), elements=frozenset({(0, 0)}))",
-    ),
-    (
-        KernelLattice,
-        dict(modulus=2, basis=KERNEL_BASIS),
-        "KernelLattice(modulus=2, basis=LatticeBasis(ambient_dim=2, "
-        "matrix=IntMatrix(rows=2, cols=2, entries=(1, 0, 1, 2))))",
     ),
     (
         SubgroupSet,
@@ -180,8 +173,6 @@ CHECKS = [
         "materialized size must divide the ring order",
         lambda: FiniteSubgroup(RING, ((1, 0),), frozenset({(0, 0), (1, 0), (2, 0)})),
     ),
-    ("kernel lattice must have full rank in Z^2", lambda: KernelLattice(2, canonical_basis(IntMatrix(2, 1, (2, 0))))),
-    ("kernel lattice must contain n*Z^2", lambda: KernelLattice(3, KERNEL_BASIS)),
     ("census needs one generator tuple per member", lambda: SubgroupSet(RING, (1, 3), ((),))),
     ("census members must be pairwise distinct", lambda: SubgroupSet(RING, (1, 1), ((), ()))),
     (
