@@ -84,10 +84,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
     costs at most about as much as the d / 4 divisions since the last one.
     At any size of p, p**k costs 2**7 divisions up to k = 64 and under 4k
     beyond, and p**2 times primes below q at most max(q, 2**7).
-    Otherwise reaching a prime factor p takes about p/2 divisions: the cost
-    follows the second largest prime factor of n, counted with multiplicity.
-    A product p*q of two large primes p < q still takes about p/2
-    divisions, with no bound.
+    Otherwise reaching a prime factor p takes about p/3 candidates (numbers
+    prime to 6, the only divisors tried from 2**8 on): the cost follows the
+    second largest prime factor of n, counted with multiplicity.  A product
+    p*q of two large primes p < q still takes about p/3 candidates, with no
+    bound.
     """
     if n <= 0:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -96,10 +97,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if _is_prime_below_bound(n):
         return [(n, 1)]
     factors: list[tuple[int, int]] = []
-    divisors: Iterable[int] = _FIRST_DIVISORS
+    classes: tuple[Iterable[int], ...] = (_FIRST_DIVISORS,)
     d = _POWER_CHECKS_FROM
     while True:
-        n = _trial_divide(n, divisors, factors)
+        n = _trial_divide(n, classes, d - 1, factors)
         if n == 1:
             return factors
         root = _power_root(n, d)  # n has no prime factor below d
@@ -107,7 +108,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
             r, k = root
             factors.extend((p, e * k) for p, e in factorize(r))
             return factors
-        divisors = range(d + 1, 2 * d, 2)
+        # the numbers prime to 6 in [d + 1, 2d): d + 1 or d + 3 is the first
+        # 5 (mod 6), two more the first 1 (mod 6)
+        first = d // 6 * 6 + 5
+        classes = (range(first, 2 * d, 6), range(first + 2, 2 * d, 6))
         d *= 2
 
 
@@ -115,26 +119,41 @@ _POWER_CHECKS_FROM = 1 << 8
 _FIRST_DIVISORS = (2, *range(3, _POWER_CHECKS_FROM, 2))
 
 
-def _trial_divide(n: int, divisors: Iterable[int], factors: list[tuple[int, int]]) -> int:
-    """Divide n > 1, which has no prime factor below the first of the
-    ascending divisors, by each in turn, appending the prime factors found,
-    until the rest is 1 or provably prime (appended too); return that rest:
-    1 once n is factored, else the part left when divisors run out."""
-    for d in divisors:
-        if d * d > n:
-            factors.append((n, 1))
-            return 1
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-            if n == 1:
-                return 1
-            if _is_prime_below_bound(n):
-                factors.append((n, 1))
-                return 1
+def _trial_divide(
+    n: int, classes: Iterable[Iterable[int]], last: int, factors: list[tuple[int, int]]
+) -> int:
+    """Divide n > 1 by the divisors of each class in turn, each class
+    ascending and ending at or before last, appending the prime factors found,
+    sorted, until the rest is 1 or provably prime (appended too); return that
+    rest: 1 once n is factored, else the part left when the classes run out.
+
+    No composite divisor divides n: its prime factors come before it in its
+    class, or lie below its block [d + 1, 2d) when n has no prime factor up
+    to d (a composite below 2d has one below sqrt(2d) < d).  So the classes
+    of a block may run one after the other.  Each class stops past isqrt(n),
+    which is computed again only after a factor; once all have run with
+    isqrt(n) < last, every divisor up to isqrt(n) is tried and the rest is
+    prime."""
+    found = []
+    r = isqrt(n)
+    for divisors in classes:
+        for d in divisors:
+            if d > r:
+                break
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                found.append((d, e))
+                if n > 1 and _is_prime_below_bound(n):
+                    found.append((n, 1))
+                    n = 1
+                r = isqrt(n)
+    if n > 1 and r < last:
+        found.append((n, 1))
+        n = 1
+    factors.extend(sorted(found))
     return n
 
 

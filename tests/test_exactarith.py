@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from itertools import product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -106,6 +106,63 @@ def test_factorize_against_trial_division():
     above_bound = 2**30 * 3**20 * 999983  # prime checks start only below the bound
     assert above_bound >= 3317044064679887385961981
     cases.append(above_bound)
+    for n in cases:
+        assert factorize(n) == trial_division_factorize(n), n
+
+
+def _block_primes(k):
+    """The primes of the trial-division block [2**k + 1, 2**(k+1)), 5 (mod 6)
+    and 1 (mod 6): from 2**8 on its divisors run in that order."""
+    primes = [p for p in range(2**k + 1, 2 ** (k + 1)) if is_prime(p)]
+    return [p for p in primes if p % 6 == 5], [p for p in primes if p % 6 == 1]
+
+
+def _block_cases():
+    """Products shaped by the trial-division blocks."""
+    cases = []
+    for k in range(8, 14):
+        fives, ones = _block_primes(k)
+        ends = fives[:2] + fives[-2:] + ones[:2] + ones[-2:]
+        # p*q in one block: both classes, either one the smaller, and squares
+        cases += [p * q for p in ends for q in ends if p <= q]
+        # p*q*r in one block, in every order of the classes
+        cases += [p * q * r for p in ends for q in ends for r in ends if p < q < r]
+        # a prime cofactor in the same block after a factor in its middle
+        for mid in (fives[len(fives) // 2], ones[len(ones) // 2]):
+            cases += [mid * fives[-1], mid * ones[-1]]
+        # a prime whose square root lies past the block's last divisor
+        edge = 2 ** (k + 1) - 1
+        cases.append(next(q for q in range(edge**2, 0, -1) if is_prime(q)))
+    for k in range(8, 18):
+        # squares of the last prime below a block edge and the first above it
+        below = next(p for p in range(2**k - 1, 0, -1) if is_prime(p))
+        above = next(p for p in range(2**k + 1, 2 ** (k + 1)) if is_prime(p))
+        cases += [below**2, above**2, 3 * below**2, below * above]
+    for k in range(8, 31):
+        cases += [2**k + e for e in range(-3, 4)]
+    return cases
+
+
+def test_factorize_across_the_blocks(monkeypatch):
+    # a block whose divisors run out below isqrt(n) proves the rest prime, so
+    # a power is looked for at d only when trial division could not stop
+    def checked(n, d):
+        assert isqrt(n) >= d - 1, (n, d)
+        return power_root(n, d)
+
+    power_root = exactarith._power_root
+    monkeypatch.setattr(exactarith, "_power_root", checked)
+    cases = _block_cases()
+    for n in cases:
+        assert factorize(n) == trial_division_factorize(n), n
+    # a prime cofactor far above the block, after a factor in its middle
+    for k in range(8, 14):
+        for primes in _block_primes(k):
+            mid = primes[len(primes) // 2]
+            assert factorize(mid * 999999999989) == [(mid, 1), (999999999989, 1)]
+    # with no Miller-Rabin stop, each rest is proven prime by the square-root
+    # bound alone, in the middle of a block or at its end
+    monkeypatch.setattr(exactarith, "_MILLER_RABIN_EXACT_BELOW", 0)
     for n in cases:
         assert factorize(n) == trial_division_factorize(n), n
 
