@@ -2,8 +2,8 @@
 
 The paper's special criteria are theorems in idealgate.paper, not imported here.
 The references that only the benchmark and the tests call (closure,
-is_ideal_bruteforce, kernel_lattice, twogen_is_ideal) are imported from their
-modules, not from here.
+is_ideal_bruteforce, kernel_lattice, twogen_is_ideal, and the wrappers of
+count_subgroups, count_ideals and prob) are imported from their modules.
 """
 
 from .exactarith import (
@@ -37,19 +37,12 @@ from .census import (
     DEFAULT_CENSUS_CAP,
     SubgroupSet,
     census_ideal_count,
-    count_ideals_pp,
+    count_ideals,
     count_subgroups,
-    count_subgroups_closed,
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
 )
-from .probability import (
-    ProbabilityReport,
-    count_subspaces,
-    prob_nm,
-    prob_pp,
-    prob_vector_space,
-)
+from .probability import ProbabilityReport, prob
 
 __version__ = "0.1.0"
 
@@ -70,11 +63,9 @@ __all__ = [
     "adjugate",
     "canonical_basis",
     "census_ideal_count",
-    "count_ideals_pp",
+    "count_ideals",
     "count_subgroups",
-    "count_subgroups_closed",
     "count_subgroups_sum",
-    "count_subspaces",
     "determinant",
     "enumerate_subgroups_bruteforce",
     "factorize",
@@ -84,8 +75,6 @@ __all__ = [
     "is_ideal_zd",
     "is_prime",
     "member",
-    "prob_nm",
-    "prob_pp",
-    "prob_vector_space",
+    "prob",
     "xgcd",
 ]

@@ -1,7 +1,8 @@
 """Subgroup census for finite product rings: the brute-force enumerator, the
-ideal oracle, count_subgroups (the one subgroup counter) and the counting
-formulas of Z_{p^r} x Z_{p^s}.  The paper's Goursat 5-tuple enumeration of
-those subgroups is a theorem in paper.py; tests check it against this census.
+ideal oracle, the one counting core (count_subgroups and count_ideals) and
+count_subgroups_sum, the independent count of Z_{p^r} x Z_{p^s}.  The paper's
+Goursat 5-tuple enumeration of those subgroups is a theorem in paper.py;
+tests check it against this census.
 
 The enumerator runs on the bitset engine of finite.py, the one the CLI's
 --verify uses.  One loop over the axes of the whole ring finds every subgroup
@@ -58,14 +59,15 @@ DEFAULT_CENSUS_CAP = 10_000
 CENSUS_SUBGROUP_BOUND = 500_000
 
 
+# count_subgroups_closed and count_ideals_pp stay only because perfbench/ reads them.
 def count_subgroups_closed(p: int, r: int, s: int) -> int:
-    """Closed-form subgroup count of Z_{p^r} x Z_{p^s}; the division is exact."""
+    """Subgroup count of Z_{p^r} x Z_{p^s}, for a prime p."""
     require_prime(p)
-    return _p_group_count(p, _sorted_exponents(r, s))
+    return count_subgroups([p**e for e in _sorted_exponents(r, s)])
 
 
 def count_subgroups_sum(p: int, r: int, s: int) -> int:
-    """Subgroup count as a sum over quotient orders; equals count_subgroups_closed."""
+    """Subgroup count of Z_{p^r} x Z_{p^s} as a sum over quotient orders; equals count_subgroups."""
     require_prime(p)
     r, s = _sorted_exponents(r, s)
     total = (r + 1) * (s + 1)
@@ -76,9 +78,7 @@ def count_subgroups_sum(p: int, r: int, s: int) -> int:
 
 def count_ideals_pp(r: int, s: int) -> int:
     """Number of ideals in Z_{p^r} x Z_{p^s}: one per divisor pair, (r+1)(s+1)."""
-    if r < 0 or s < 0:
-        raise ValueError("exponents must be nonnegative")
-    return (r + 1) * (s + 1)
+    return _p_ideal_count(_sorted_exponents(r, s))
 
 
 def _sorted_exponents(r: int, s: int) -> tuple[int, int]:
@@ -167,10 +167,7 @@ def enumerate_subgroups_bruteforce(
     The result holds the bitsets, sorted by (order, bitset value), and
     decodes them into FiniteSubgroups only when members is read.
     """
-    if ring.order > max_order:
-        raise EnumerationCapExceeded(
-            f"ring order {ring.order} exceeds the census cap {max_order}"
-        )
+    _require_census_cap(ring.moduli, max_order)
     count = count_subgroups(ring.moduli)
     if count > CENSUS_SUBGROUP_BOUND:
         raise _over_bound(count)
@@ -216,6 +213,11 @@ def enumerate_subgroups_bruteforce(
     return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
 
 
+def _require_census_cap(moduli: Sequence[int], max_order: int) -> None:
+    if prod(moduli) > max_order:  # the census's first check; the CLI's too, before it counts
+        raise EnumerationCapExceeded(f"ring order {prod(moduli)} exceeds the census cap {max_order}")
+
+
 def _over_bound(count: int) -> EnumerationCapExceeded:
     return EnumerationCapExceeded(
         f"the census counts at least {count} subgroups, over the bound of "
@@ -224,13 +226,36 @@ def _over_bound(count: int) -> EnumerationCapExceeded:
 
 
 def count_subgroups(moduli: Sequence[int]) -> int:
-    """Exact subgroup count of Z_{n_1} x ... x Z_{n_k}: the product over primes p
-    of the count of the p-part, whose type is the exponents of p in the n_i."""
-    exponents: dict[int, list[int]] = {}
+    """Exact subgroup count of Z_{n_1} x ... x Z_{n_k} (see _counts)."""
+    return _counts(moduli)[0]
+
+
+def count_ideals(moduli: Sequence[int]) -> int:
+    """Exact ideal count of Z_{n_1} x ... x Z_{n_k}: d(n_1) ... d(n_k), since the ideals
+    of a product ring are products of ideals of its factors, the dZ_n of each Z_n."""
+    return _counts(moduli)[1]
+
+
+def _counts(moduli: Sequence[int]) -> tuple[int, int]:
+    """(subgroups, ideals) of Z_{n_1} x ... x Z_{n_k} from one factorization of each
+    n_i: products over the primes p of the counts of the p-part, whose type is the
+    exponents of p in the n_i.  The ideal count read per modulus, d(n_1) ... d(n_k),
+    must equal the prime-wise one: an InvariantError, so it is checked under -O."""
+    types: dict[int, list[int]] = {}
+    ideals = 1
     for n in moduli:
-        for p, a in factorize(n):
-            exponents.setdefault(p, []).append(a)
-    return prod(_p_group_count(p, lam) for p, lam in exponents.items())
+        factors = factorize(n)
+        ideals *= prod(a + 1 for _, a in factors)  # d(n)
+        for p, a in factors:
+            types.setdefault(p, []).append(a)
+    if ideals != prod(_p_ideal_count(lam) for lam in types.values()):
+        raise InvariantError(f"ideal count of {tuple(moduli)} differs from the prime-wise product")
+    return prod(_p_group_count(p, lam) for p, lam in types.items()), ideals
+
+
+def _p_ideal_count(exponents: Sequence[int]) -> int:
+    """Ideal count of the p-part of type a = exponents: the products of the p^(b_i) Z_(p^(a_i))."""
+    return prod(a + 1 for a in exponents)
 
 
 def _p_group_count(p: int, exponents: Sequence[int]) -> int:

@@ -13,9 +13,10 @@ line on stderr.
 ideal zn and order (default 10^6), and the ring order that census, prob
 and verify census by brute force (default 10^4).  ideal zd reads no cap, but
 every subcommand, ideal zd too, exits 2 on a cap that is not a positive integer.
-A census within the cap also exits 3 before it starts when the census's own
-count of the ring's subgroups is over its fixed subgroup bound, which the cap
-does not change.
+Under --verify, census and prob check the ring order against the cap before
+they count.  A census within the cap also exits 3 before it starts when the
+census's own count of the ring's subgroups is over its fixed subgroup bound,
+which the cap does not change.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from typing import Callable, Sequence
 from .census import (
     DEFAULT_CENSUS_CAP,
     _is_ideal_bits,
+    _require_census_cap,
     census_ideal_count,
-    count_ideals_pp,
-    count_subgroups_closed,
     count_subgroups_sum,
     enumerate_subgroups_bruteforce,
 )
@@ -49,7 +49,7 @@ from .finite import (
     general_is_ideal,
 )
 from .lattice import IntMatrix, canonical_basis, is_ideal_zd, member
-from .probability import prob_nm, prob_vector_space
+from .probability import ProbabilityReport, _require_moduli, prob
 
 CAP_ENV_VAR = "IDEALGATE_CAP"
 
@@ -217,27 +217,34 @@ def _handle_order(args: argparse.Namespace, cap: int) -> _Answer:
     return doc, lambda: _closure_bits(subgroup.ring, subgroup.generators, cap).bit_count() == value
 
 
+def _counted(args: argparse.Namespace, moduli: list[int], cap: int) -> tuple[ProbabilityReport, dict, Callable]:
+    """prob(moduli), its counts as census and prob print them, and the census that
+    checks them, whose cap --verify checks first, before anything is counted."""
+    if args.verify:
+        _require_census_cap(moduli, cap)
+    report = prob(moduli)
+    counts = {"subgroups": report.subgroup_count, "ideals": report.ideal_count}
+    return report, counts, lambda: _census_counts(moduli, cap) == (report.subgroup_count, report.ideal_count)
+
+
 def _handle_census(args: argparse.Namespace, cap: int) -> _Answer:
     require_prime(args.p)
     if args.r < 0 or args.s < 0:
         raise ValueError("--r and --s must be nonnegative")
     _require_printable_power(args.p, max(args.r, args.s))  # the larger modulus
-    subgroups = count_subgroups_closed(args.p, args.r, args.s)
-    if subgroups != count_subgroups_sum(args.p, args.r, args.s):
-        raise InvariantError("closed-form and summed subgroup counts differ")
-    ideals = count_ideals_pp(args.r, args.s)
     moduli = [args.p**args.r, args.p**args.s]
-    counts = {"subgroups": subgroups, "ideals": ideals}
-    doc = _doc("census", {"kind": "zn", "moduli": moduli}, [], None, counts=counts)
-    return doc, lambda: _census_counts(moduli, cap) == (subgroups, ideals)
+    report, counts, oracle = _counted(args, moduli, cap)
+    if report.subgroup_count != count_subgroups_sum(args.p, args.r, args.s):
+        raise InvariantError("closed-form and summed subgroup counts differ")
+    return _doc("census", {"kind": "zn", "moduli": moduli}, [], None, counts=counts), oracle
 
 
 def _handle_prob(args: argparse.Namespace, cap: int) -> _Answer:
     if args.n is not None or args.m is not None:
         if args.n is None or args.m is None or args.p is not None or args.dim is not None:
             raise ValueError("use --n with --m, or --p with --dim")
-        report = prob_nm(args.n, args.m)
         moduli = [args.n, args.m]
+        _require_moduli(moduli)
     else:
         if args.p is None or args.dim is None:
             raise ValueError("use --n with --m, or --p with --dim")
@@ -247,13 +254,11 @@ def _handle_prob(args: argparse.Namespace, cap: int) -> _Answer:
         # the subspace count is at least its Gaussian binomial at dim // 2,
         # which is at least p**((dim // 2) * (dim - dim // 2))
         _require_printable_power(args.p, args.dim * args.dim // 4)
-        report = prob_vector_space(args.p, args.dim)
         moduli = [args.p] * args.dim
-    counts = {"subgroups": report.subgroup_count, "ideals": report.ideal_count}
+    report, counts, oracle = _counted(args, moduli, cap)
     probability = _fraction_doc(report.probability)
     doc = _doc("prob", {"kind": "zn", "moduli": moduli}, [], None, counts=counts, probability=probability)
-    counted = (report.subgroup_count, report.ideal_count)
-    return doc, lambda: _census_counts(moduli, cap) == counted
+    return doc, oracle
 
 
 def _handle_verify(args: argparse.Namespace, cap: int) -> _Answer:
@@ -267,36 +272,24 @@ def _handle_verify(args: argparse.Namespace, cap: int) -> _Answer:
     for p, r, s in product(primes, exponents, exponents):
         if r > s or p ** (r + s) > args.max_order:
             continue
-        formula = count_subgroups_closed(p, r, s)
+        report = prob((p**r, p**s))
+        formula, ideals_formula = report.subgroup_count, report.ideal_count
         subgroups, ideals = _census_counts((p**r, p**s), cap)
-        row_ok = subgroups == formula == count_subgroups_sum(p, r, s) and ideals == count_ideals_pp(r, s)
-        rows.append(
-            {
-                "check": "prime_power_census",
-                "p": p,
-                "r": r,
-                "s": s,
-                "subgroups_formula": formula,
-                "subgroups_census": subgroups,
-                "ideals_formula": count_ideals_pp(r, s),
-                "ideals_census": ideals,
-                "ok": row_ok,
-            }
-        )
+        row_ok = subgroups == formula == count_subgroups_sum(p, r, s) and ideals == ideals_formula
+        rows.append(dict(
+            check="prime_power_census", p=p, r=r, s=s,
+            subgroups_formula=formula, subgroups_census=subgroups,
+            ideals_formula=ideals_formula, ideals_census=ideals, ok=row_ok,
+        ))
     for n, m in product(range(1, args.max_nm + 1), repeat=2):
-        report = prob_nm(n, m)
+        report = prob((n, m))
         subgroups, ideals = _census_counts((n, m), cap)
-        ratio = Fraction(ideals, subgroups)
-        rows.append(
-            {
-                "check": "probability",
-                "n": n,
-                "m": m,
-                "probability": _fraction_doc(report.probability),
-                "census_probability": _fraction_doc(ratio),
-                "ok": (subgroups, ideals) == (report.subgroup_count, report.ideal_count),
-            }
-        )
+        rows.append(dict(
+            check="probability", n=n, m=m,
+            probability=_fraction_doc(report.probability),
+            census_probability=_fraction_doc(Fraction(ideals, subgroups)),
+            ok=(subgroups, ideals) == (report.subgroup_count, report.ideal_count),
+        ))
     ok = all(row["ok"] for row in rows)
     # the sweep is its own oracle: it has already compared every row
     return _doc("verify", None, [], "ok" if ok else "mismatch", rows=rows), lambda: ok

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from typing import Sequence
 
-from .exactarith import InvariantError, Record, factorize, require_prime
-from .census import _p_group_count, count_ideals_pp, count_subgroups_closed
+from .exactarith import Record, require_prime
+from .census import _counts, _sorted_exponents, count_subgroups
 
 
 class ProbabilityReport(Record):
@@ -25,39 +25,30 @@ class ProbabilityReport(Record):
         object.__setattr__(self, "probability", probability)
 
 
+def prob(moduli: Sequence[int]) -> ProbabilityReport:
+    """Probability for Z_{n_1} x ... x Z_{n_k}: count_ideals over count_subgroups,
+    both read off one factorization of each n_i, exact up to the one Fraction."""
+    _require_moduli(moduli)
+    subgroups, ideals = _counts(moduli)
+    ring = " x ".join(f"Z_{n}" for n in moduli)
+    return ProbabilityReport(ring, ideals, subgroups, Fraction(ideals, subgroups))
+
+
+def _require_moduli(moduli: Sequence[int]) -> None:
+    if min(moduli, default=0) < 1:  # no moduli at all is refused too
+        raise ValueError("moduli must be positive")
+
+
+# The wrappers below stay only because perfbench/ reads them.
 def prob_pp(p: int, r: int, s: int) -> ProbabilityReport:
-    """Probability for Z_{p^r} x Z_{p^s}: (r+1)(s+1) ideals over the closed-form count."""
-    subgroups = count_subgroups_closed(p, r, s)  # proves p, checks r and s
-    r, s = (r, s) if r <= s else (s, r)
-    ideals = count_ideals_pp(r, s)
-    return ProbabilityReport(
-        f"Z_{p**r} x Z_{p**s}", ideals, subgroups, Fraction(ideals, subgroups)
-    )
+    """Probability for Z_{p^r} x Z_{p^s}, named with the smaller exponent first."""
+    require_prime(p)
+    return prob([p**e for e in _sorted_exponents(r, s)])
 
 
 def prob_nm(n: int, m: int) -> ProbabilityReport:
-    """Probability for Z_n x Z_m, multiplicative over the primes dividing n*m.
-
-    Per prime, the subgroup count comes from the census's counter core,
-    _p_group_count.  Ideals count as d(n) * d(m) (one per divisor pair), read
-    off the same factorizations; both counts and the probability are exact.
-    The primes come from factorize, which has proven them, so they are not
-    proven again; the counts stay integers up to the one Fraction of the report.
-    """
-    if n <= 0 or m <= 0:
-        raise ValueError("moduli must be positive")
-    exponents_n = dict(factorize(n))
-    exponents_m = dict(factorize(m))
-    ideals = prod(e + 1 for e in exponents_n.values()) * prod(e + 1 for e in exponents_m.values())
-    local_ideals = subgroups = 1
-    for p in exponents_n.keys() | exponents_m.keys():
-        r, s = exponents_n.get(p, 0), exponents_m.get(p, 0)
-        local_ideals *= count_ideals_pp(r, s)
-        subgroups *= _p_group_count(p, (r, s))
-    # the ratio equals the product of the prime-wise ratios iff the ideal counts agree
-    if ideals != local_ideals:
-        raise InvariantError(f"prob_nm({n}, {m}): count ratio differs from the prime-wise product")
-    return ProbabilityReport(f"Z_{n} x Z_{m}", ideals, subgroups, Fraction(ideals, subgroups))
+    """Probability for Z_n x Z_m."""
+    return prob((n, m))
 
 
 def count_subspaces(p: int, r: int) -> int:
@@ -65,12 +56,13 @@ def count_subspaces(p: int, r: int) -> int:
     require_prime(p)
     if r < 0:
         raise ValueError("dimension must be nonnegative")
-    return _p_group_count(p, (1,) * r)
+    return count_subgroups((p,) * r)
 
 
 def prob_vector_space(p: int, r: int) -> ProbabilityReport:
-    """Probability for the r-fold product of Z_p: 2^r ideals over the subspace count."""
+    """Probability for the r-fold product of Z_p, named Z_p^r: 2^r ideals over the subspace count."""
     if r < 1:
         raise ValueError("need at least one factor")
-    subgroups = count_subspaces(p, r)  # proves p
-    return ProbabilityReport(f"Z_{p}^{r}", 2**r, subgroups, Fraction(2**r, subgroups))
+    require_prime(p)
+    report = prob((p,) * r)
+    return ProbabilityReport(f"Z_{p}^{r}", report.ideal_count, report.subgroup_count, report.probability)

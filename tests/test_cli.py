@@ -196,6 +196,33 @@ def test_census_checks_the_cap_before_the_bound(capsys):
     assert captured.err == "error: ring order 512 exceeds the census cap 100\n"
 
 
+def test_verify_checks_the_census_cap_before_counting(capsys, monkeypatch):
+    # 2147483647 * 2147483659 took 86 s to factor before the cap it was over
+    # was read; under --verify the cap is checked before anything is counted
+    def never(*args):
+        raise AssertionError("counted a ring that the census cap refuses")
+
+    counter = cli.prob
+    monkeypatch.setattr(cli, "prob", never)
+    for argv, order, cap in (
+        ("prob --n 4611686039902224373 --m 1", 4611686039902224373, 10_000),
+        ("prob --p 2 --dim 9 --cap 100", 512, 100),
+        ("census --p 2 --r 7 --s 7 --cap 100", 2**14, 100),
+    ):
+        assert run([*argv.split(), "--verify"]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ring order {order} exceeds the census cap {cap}\n"
+    # without --verify the cap is not read, and the counter runs
+    calls = []
+    monkeypatch.setattr(cli, "prob", lambda moduli: calls.append(moduli) or counter(moduli))
+    code, doc = invoke_json(capsys, "prob", "--n", "101", "--m", "103", "--cap", "100")
+    assert code == 0 and calls == [[101, 103]] and doc["counts"] == {"subgroups": 4, "ideals": 4}
+    # input errors still come first
+    assert run(["prob", "--n", "-200", "--m", "-200", "--verify", "--cap", "100"]) == 2
+    assert capsys.readouterr().err == "error: moduli must be positive\n"
+
+
 def test_large_censuses_exit_3_within_seconds():
     # Z_2^9 (8.3 million subgroups) and Z_2^13 (order 8192, within the ring-order
     # cap, 3.76 * 10^13 subgroups) would run for minutes to years and past 3 GiB
@@ -254,7 +281,7 @@ def test_unprintable_results_exit_3_before_counting(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("counted a result that cannot be printed")
 
-    for name in ("count_subgroups_closed", "count_subgroups_sum", "prob_vector_space"):
+    for name in ("prob", "count_subgroups_sum"):  # every count the CLI makes
         monkeypatch.setattr(cli, name, never)
     for argv in (
         ["census", "--p", "2", "--r", "100000", "--s", "100000"],

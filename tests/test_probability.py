@@ -6,12 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import prod
 from pathlib import Path
 
 import pytest
 
 import idealgate
+from idealgate import count_ideals, count_subgroups, prob
 from idealgate.census import census_ideal_count, enumerate_subgroups_bruteforce
 from idealgate.finite import ProductRing
 from idealgate.probability import (
@@ -176,12 +178,13 @@ def test_prob_nm_at_scale_matches_the_prime_wise_oracle():
 
 
 def test_prob_nm_cross_check_runs_under_optimization():
-    # a wrong per-prime ideal count must still reach the integer cross-check
-    # (exit 4) with asserts stripped
+    # a wrong per-prime ideal count must still reach the counting core's
+    # integer cross-check (exit 4) with asserts stripped
     script = (
         "import sys\n"
-        "import idealgate.probability as probability\n"
-        "probability.count_ideals_pp = lambda r, s: (r + 1) * (s + 1) + 1\n"
+        "from math import prod\n"
+        "import idealgate.census as census\n"
+        "census._p_ideal_count = lambda exponents: prod(a + 1 for a in exponents) + 1\n"
         "from idealgate.cli import main\n"
         "sys.argv = ['idealgate', 'prob', '--n', '12', '--m', '18']\n"
         "main()\n"
@@ -198,7 +201,7 @@ def test_prob_nm_cross_check_runs_under_optimization():
     assert proc.stdout == ""
     assert proc.stderr == (
         "error: internal invariant failed: "
-        "prob_nm(12, 18): count ratio differs from the prime-wise product\n"
+        "ideal count of (12, 18) differs from the prime-wise product\n"
     )
 
 
@@ -244,3 +247,36 @@ def test_prob_vector_space_rejects_bad_input():
         prob_vector_space(6, 2)
     with pytest.raises(ValueError):
         prob_vector_space(2, 0)
+
+
+# every multiset of at most three moduli <= 40 with product <= 400, and three of arity 4
+SMALL_RINGS = [
+    moduli
+    for k in (1, 2, 3)
+    for moduli in combinations_with_replacement(range(1, 41), k)
+    if prod(moduli) <= 400
+] + [(2, 4, 8, 2), (6, 6, 6, 6), (3, 9, 3, 2)]
+
+
+def test_counting_core_matches_the_census_on_every_small_ring():
+    # the census and its ideal tally count without any factorization
+    assert len(SMALL_RINGS) == 1498
+    for moduli in SMALL_RINGS:
+        census = enumerate_subgroups_bruteforce(ProductRing(moduli))
+        subgroups, ideals = len(census), census_ideal_count(census)
+        assert (count_subgroups(moduli), count_ideals(moduli)) == (subgroups, ideals), moduli
+        ring = " x ".join(f"Z_{n}" for n in moduli)
+        assert prob(moduli) == ProbabilityReport(ring, ideals, subgroups, Fraction(ideals, subgroups))
+
+
+def test_prob_frozen_examples():
+    assert prob((2, 4, 8)) == ProbabilityReport("Z_2 x Z_4 x Z_8", 24, 81, Fraction(8, 27))
+    assert prob([6, 6]) == prob_nm(6, 6)
+    assert prob((1,)).probability == 1
+    assert count_ideals(()) == count_subgroups(()) == 1
+
+
+def test_prob_rejects_bad_moduli():
+    for moduli in ((), (4, 0), (-2, -3)):
+        with pytest.raises(ValueError, match="moduli must be positive"):
+            prob(moduli)
