@@ -82,13 +82,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     _power_root): squares (math.isqrt), and k-th powers for the primes
     k <= d / 4, each behind a residue check of a few divisions, so a search
     costs at most about as much as the d / 4 divisions since the last one.
-    At any size of p, p**k costs 2**7 divisions up to k = 64 and under 4k
-    beyond, and p**2 times primes below q at most max(q, 2**7).
-    Otherwise reaching a prime factor p takes about p/3 candidates (numbers
-    prime to 6, the only divisors tried from 2**8 on): the cost follows the
-    second largest prime factor of n, counted with multiplicity.  A product
-    p*q of two large primes p < q still takes about p/3 candidates, with no
-    bound.
+    At any size of p, p**k costs 86 candidates (2, 3 and the 84 numbers
+    prime to 6 below 256) up to k = 64 and under 4k beyond, and p**2 times
+    primes below q at most max(q, 86); a prime found is divided out by p,
+    p**2, p**4, ... (_divide_out).  Otherwise reaching a prime factor p takes
+    about p/3 candidates (2, 3, then the numbers prime to 6 from 5 on): the
+    cost follows the second largest prime factor of n, counted with
+    multiplicity.  A product p*q of two large primes p < q still takes about
+    p/3 candidates, with no bound.
     """
     if n <= 0:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -97,8 +98,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if _is_prime_below_bound(n):
         return [(n, 1)]
     factors: list[tuple[int, int]] = []
-    classes: tuple[Iterable[int], ...] = (_FIRST_DIVISORS,)
-    d = _POWER_CHECKS_FROM
+    classes: tuple[Iterable[int], ...] = _FIRST_BLOCK
+    d = 1 << 8  # the first power check, where _FIRST_BLOCK ends
     while True:
         n = _trial_divide(n, classes, d - 1, factors)
         if n == 1:
@@ -108,15 +109,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
             r, k = root
             factors.extend((p, e * k) for p, e in factorize(r))
             return factors
-        # the numbers prime to 6 in [d + 1, 2d): d + 1 or d + 3 is the first
-        # 5 (mod 6), two more the first 1 (mod 6)
-        first = d // 6 * 6 + 5
-        classes = (range(first, 2 * d, 6), range(first + 2, 2 * d, 6))
+        classes = _prime_to_6(d + 1, 2 * d)
         d *= 2
 
 
-_POWER_CHECKS_FROM = 1 << 8
-_FIRST_DIVISORS = (2, *range(3, _POWER_CHECKS_FROM, 2))
+def _prime_to_6(lo: int, hi: int) -> tuple[range, range]:
+    """The numbers prime to 6 in [lo, hi): the class 5 (mod 6), then 1 (mod 6)."""
+    return range(lo + (5 - lo) % 6, hi, 6), range(lo + (1 - lo) % 6, hi, 6)
+
+
+_FIRST_BLOCK = ((2, 3), *_prime_to_6(5, 1 << 8))  # built once: it is the same for every n
 
 
 def _trial_divide(
@@ -127,13 +129,13 @@ def _trial_divide(
     sorted, until the rest is 1 or provably prime (appended too); return that
     rest: 1 once n is factored, else the part left when the classes run out.
 
-    No composite divisor divides n: its prime factors come before it in its
-    class, or lie below its block [d + 1, 2d) when n has no prime factor up
-    to d (a composite below 2d has one below sqrt(2d) < d).  So the classes
-    of a block may run one after the other.  Each class stops past isqrt(n),
-    which is computed again only after a factor; once all have run with
-    isqrt(n) < last, every divisor up to isqrt(n) is tried and the rest is
-    prime."""
+    No composite divisor divides n: a prime factor of it is divided out
+    first.  In a block [d + 1, 2d) that factor lies below sqrt(2d) < d.
+    Below 2**8, after 2 and 3, a composite has one earlier in its class, or
+    is 1 (mod 6) with two 5 (mod 6), as 25 and 55 are: so the class 5 (mod 6)
+    runs first.  Each class stops past isqrt(n), which is computed again only
+    after a factor; once all have run with isqrt(n) < last, every divisor up
+    to isqrt(n) is tried and the rest is prime."""
     found = []
     r = isqrt(n)
     for divisors in classes:
@@ -141,10 +143,7 @@ def _trial_divide(
             if d > r:
                 break
             if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
+                e, n = _divide_out(n, d)
                 found.append((d, e))
                 if n > 1 and _is_prime_below_bound(n):
                     found.append((n, 1))
@@ -237,10 +236,7 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 43 * 43:  # no prime factor up to 41, so no factor up to sqrt(n)
         return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = _divide_out(n - 1, 2)
     for a, psi in zip(_MILLER_RABIN_BASES, _MILLER_RABIN_PSI):
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
@@ -252,12 +248,7 @@ def is_prime(n: int) -> bool:
                 return False
         if n < psi:
             return True
-    q = 43  # n >= psi_13 passed every base
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 2
-    return True
+    return all(n % q for c in _prime_to_6(43, isqrt(n) + 1) for q in c)  # n >= psi_13 passed every base
 
 
 def require_prime(p: int) -> None:
@@ -269,12 +260,20 @@ def valuation(n: int, p: int) -> int:
     """Largest v with p^v dividing n (n != 0, p >= 2)."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    if p < 2:
+        raise ValueError(f"valuation requires p >= 2, got {p}")
+    return _divide_out(abs(n), p)[0]
+
+
+def _divide_out(n: int, d: int) -> tuple[int, int]:
+    """(e, n // d**e) for the largest e with d**e dividing n != 0, d >= 2: past
+    e = 1, d**2 is divided out recursively, so the recursion depth is log2(e)."""
+    q, r = divmod(n, d)
+    if r or q % d:
+        return (0, n) if r else (1, q)
+    e, n = _divide_out(q, d * d)  # d divides this n at most once
+    q, r = divmod(n, d)
+    return (2 * e + 1, n) if r else (2 * e + 2, q)
 
 
 def additive_order(c: int, s: int) -> int:

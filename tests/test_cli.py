@@ -132,6 +132,17 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "census", "--p", "2", "--r", "-1", "--s", "1")[0] == 2
 
 
+def test_generator_length_must_match_the_moduli(capsys):
+    for argv in (
+        ["ideal", "zn", "--moduli", "4,2", "--gens", "1,0,0"],
+        ["order", "--moduli", "4,2", "--gens", "1"],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == "error: generator length must match the number of moduli\n"
+
+
 def test_cap_exceeded_exit_3(capsys, monkeypatch):
     assert invoke(capsys, "census", "--p", "2", "--r", "7", "--s", "7", "--verify", "--cap", "100")[0] == 3
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
@@ -262,12 +273,19 @@ def test_zn_decided_beyond_cap(capsys):
 
 
 def test_integers_over_the_digit_limit(capsys):
-    # a result too long for int/str conversion is an infeasible input (exit 3)
-    for fmt in ("json", "text"):
-        code = run(["prob", "--p", "2", "--dim", "250", "--format", fmt])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert captured.err.startswith("error:") and "digits" in captured.err
+    # a result too long for int/str conversion is an infeasible input (exit
+    # 3): prob stops before counting, while the order 10**8000 of moduli that
+    # parse is computed and fails only when the document is rendered
+    moduli = f"{10**4000},{10**4000}"
+    for argv in (
+        ["prob", "--p", "2", "--dim", "250"],
+        ["order", "--moduli", moduli, "--gens", "1,0;0,1"],
+    ):
+        for fmt in ("json", "text"):
+            code = run([*argv, "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", (argv[0], fmt)
+            assert captured.err.startswith("error:") and "digits" in captured.err
     # an over-long input integer is a usage error that says why
     code = run(["ideal", "zd", "--gens", "1" * 5000 + ",0;0,1"])
     captured = capsys.readouterr()

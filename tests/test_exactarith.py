@@ -112,7 +112,7 @@ def test_factorize_against_trial_division():
 
 def _block_primes(k):
     """The primes of the trial-division block [2**k + 1, 2**(k+1)), 5 (mod 6)
-    and 1 (mod 6): from 2**8 on its divisors run in that order."""
+    and 1 (mod 6): from 5 on its divisors run in that order."""
     primes = [p for p in range(2**k + 1, 2 ** (k + 1)) if is_prime(p)]
     return [p for p in primes if p % 6 == 5], [p for p in primes if p % 6 == 1]
 
@@ -231,7 +231,7 @@ def test_factorize_roots_are_exact():
 
 def test_power_search_cost(monkeypatch):
     # a root with no prime factor below the first checkpoint, 2**8, is found
-    # there for k <= 2**8 / 4: trial division stops after 2**7 divisors
+    # there for k <= 2**8 / 4: trial division stops after 86 candidates
     calls = []
 
     def counting(n, d):
@@ -297,15 +297,48 @@ def test_is_prime_at_each_base_count_threshold():
     assert exactarith._MILLER_RABIN_PSI == PSI
 
 
-def test_is_prime_against_a_sieve():
-    limit = 2 * 10**6
+def _sieve(limit):
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
-    for q in range(2, int(limit**0.5) + 1):
+    for q in range(2, isqrt(limit) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    return sieve
+
+
+def test_is_prime_against_a_sieve():
+    limit = 2 * 10**6
+    sieve = _sieve(limit)
     mismatches = [n for n in range(limit) if is_prime(n) != sieve[n]]
     assert mismatches == []
+
+
+def test_prime_to_6_ranges():
+    # every residue of lo and hi mod 6, as the blocks [2**k + 1, 2**(k+1))
+    # and is_prime's fallback from 43 use them
+    for lo in range(0, 60):
+        for hi in range(lo, lo + 40):
+            fives, ones = exactarith._prime_to_6(lo, hi)
+            assert all(q % 6 == 5 for q in fives) and all(q % 6 == 1 for q in ones)
+            assert sorted([*fives, *ones]) == [q for q in range(lo, hi) if gcd(q, 6) == 1]
+
+
+def test_is_prime_trial_division_fallback(monkeypatch):
+    # with psi_1 = 0 only base 2 runs, and every number that passes it goes
+    # on to the trial division that decides the numbers at or above psi_13
+    monkeypatch.setattr(exactarith, "_MILLER_RABIN_PSI", (0,))
+    limit = 2 * 10**5
+    sieve = _sieve(limit)
+    mismatches = [n for n in range(limit) if is_prime(n) != sieve[n]]
+    assert mismatches == []
+    # base-2 strong pseudoprimes with no prime factor below 43: only the
+    # fallback rejects them
+    pseudoprimes = [
+        n
+        for n in range(43 * 43, limit, 2)
+        if not sieve[n] and _strong_probable_prime(n, 2) and trial_division_factorize(n)[0][0] >= 43
+    ]
+    assert pseudoprimes[0] == 8321 == 53 * 157
 
 
 def test_is_prime_above_the_miller_rabin_bound():
@@ -369,6 +402,30 @@ def test_valuation():
     assert valuation(7, 2) == 0
     with pytest.raises(ValueError):
         valuation(0, 2)
+    with pytest.raises(ValueError):
+        valuation(8, 1)
+
+
+def _repeated_division(n, d):
+    e = 0
+    while n % d == 0:
+        n //= d
+        e += 1
+    return e, n
+
+
+def test_prime_powers_divided_out_in_squaring_steps():
+    exponents = sorted({1, 2, 3} | {2**j + i for j in range(1, 13) for i in (-1, 0, 1)})
+    for d in (2, 3, 5, 251, 257, 10**6 + 3, 10**9 + 7):
+        next_prime = next(q for q in range(d + 1, 2 * d) if is_prime(q))
+        for c in (1, 77, next_prime):
+            for e in exponents:
+                n = d**e * c
+                assert exactarith._divide_out(n, d) == _repeated_division(n, d) == (e, c)
+                assert valuation(n, d) == valuation(-n, d) == e
+                # trial division would run to d ahead of a prime cofactor above it
+                if d < 2**8 or c != next_prime:
+                    assert factorize(n) == sorted([(d, e), *trial_division_factorize(c)]), (d, e, c)
 
 
 def test_additive_order_examples():
