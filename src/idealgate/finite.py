@@ -131,7 +131,7 @@ class FiniteSubgroup(Record):
         """Subgroup order: the index of n1*Z x ... x nk*Z in the lifted lattice
         (exact at any ring size)."""
         basis = _lifted_basis(self).matrix
-        return self.ring.order // prod(basis.at(j, j) for j in range(basis.cols))
+        return self.ring.order // prod(basis.entries[:: basis.cols + 1])
 
 
 def _lifted_basis(subgroup: FiniteSubgroup) -> LatticeBasis:

@@ -46,9 +46,13 @@ class IntMatrix(Record):
             if not columns:
                 raise ValueError("row count required for an empty column list")
             rows = len(columns[0])
-        if any(len(col) != rows for col in columns):
+        try:
+            entries = tuple(chain.from_iterable(zip(*columns, strict=True)))
+        except ValueError:
+            raise ValueError("ragged columns") from None
+        if len(entries) != rows * len(columns):
             raise ValueError("ragged columns")
-        return cls(rows, len(columns), tuple(chain.from_iterable(zip(*columns))))
+        return cls(rows, len(columns), entries)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -82,7 +86,10 @@ class IntMatrix(Record):
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def is_diagonal(self) -> bool:
-        return all(self.at(i, j) == 0 for i in range(self.rows) for j in range(self.cols) if i != j)
+        # entry (i, i) sits at i * (cols + 1), for i < min(rows, cols)
+        entries, cols = self.entries, self.cols
+        diagonal = entries[: min(self.rows, cols) * (cols + 1) : cols + 1]
+        return entries.count(0) - diagonal.count(0) == len(entries) - len(diagonal)
 
 
 # determinant, adjugate and fullrank_is_ideal are is_ideal_zd's full-rank test,
@@ -145,15 +152,21 @@ class LatticeBasis(Record):
             raise ValueError("basis row count must equal the ambient dimension")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "matrix", matrix)
-        pivots = self.pivot_rows()
-        for j, p in enumerate(pivots):
-            if j and p <= pivots[j - 1]:
+        entries, cols = matrix.entries, matrix.cols
+        last = -1
+        for j in range(cols):
+            # the first nonzero entry of column j is its pivot
+            p = next(compress(count(), entries[j::cols]), None)
+            if p is None:
+                raise ValueError("zero column in a basis")
+            if p <= last:
                 raise ValueError("pivot rows must strictly increase")
-            row = matrix.row(p)
-            pivot = row[j]
+            last = p
+            start = p * cols
+            pivot = entries[start + j]
             if pivot <= 0:
                 raise ValueError("pivots must be positive")
-            left = row[:j]
+            left = entries[start : start + j]
             if left and (min(left) < 0 or max(left) >= pivot):
                 raise ValueError("entries left of a pivot must be reduced into [0, pivot)")
 
@@ -215,7 +228,8 @@ def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], di
                 ai, ci = col[i], vec[i]
                 col[i] = x * ai + y * ci
                 vec[i] = au * ci - cu * ai
-            for later, p in zip(basis[k + 1 :], pivots[k + 1 :]):
+            for j in range(k + 1, rank):
+                later, p = basis[j], pivots[j]
                 q = col[p] // later[p]
                 if q:
                     for i in range(p, dim):

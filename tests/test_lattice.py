@@ -40,6 +40,43 @@ def test_matrix_shape_validation():
         IntMatrix.from_columns([])
 
 
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        ([(1, 2), (3,)], None),  # a later column shorter than the first
+        ([(1, 2), (3, 4, 5)], None),  # a later column longer than the first
+        ([(1,), (2, 3)], None),  # the first column shorter than the rest
+        ([(1, 2), (3, 4)], 3),  # every column shorter than the stated row count
+    ],
+)
+def test_ragged_columns_are_refused(columns, rows):
+    with pytest.raises(ValueError, match=r"^ragged columns$"):
+        IntMatrix.from_columns(columns, rows=rows)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, entries, diagonal",
+    [
+        # 3x1: a stride test i % (cols + 1) == 0 would take entry (2, 0) for a diagonal one
+        (3, 1, (5, 0, 0), True),
+        (3, 1, (5, 0, 7), False),
+        (3, 1, (0, 7, 0), False),
+        (4, 2, (1, 0, 0, 2, 0, 0, 0, 0), True),
+        (4, 2, (1, 0, 0, 2, 0, 0, 3, 0), False),
+        (4, 2, (1, 0, 0, 2, 0, 3, 0, 0), False),
+        (2, 3, (1, 0, 0, 0, 2, 0), True),
+        (2, 3, (1, 0, 0, 0, 2, 3), False),
+        (2, 3, (1, 0, 3, 0, 2, 0), False),
+        (1, 0, (), True),
+    ],
+)
+def test_is_diagonal_on_non_square_matrices(rows, cols, entries, diagonal):
+    matrix = IntMatrix(rows, cols, entries)
+    assert matrix.is_diagonal() is diagonal
+    # the definition, entry by entry
+    assert diagonal == all(matrix.at(i, j) == 0 for i in range(rows) for j in range(cols) if i != j)
+
+
 def test_matrix_accessors_and_product():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert a.at(1, 0) == 3

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from idealgate.census import SubgroupSet, enumerate_subgroups_bruteforce
-from idealgate.finite import FiniteSubgroup, ProductRing
+from idealgate import lattice
+from idealgate.finite import FiniteSubgroup, ProductRing, general_is_ideal
 from idealgate.lattice import IdealWitness, IntMatrix, LatticeBasis, ZdDecision, canonical_basis
 from idealgate.paper import GoursatTuple
 from idealgate.probability import ProbabilityReport
@@ -196,6 +197,60 @@ CHECKS = [
 @pytest.mark.parametrize("message, make", CHECKS, ids=[m for m, _ in CHECKS])
 def test_constructor_checks_keep_their_messages(message, make):
     _raises(message, make)
+
+
+class _LostWrites(list):
+    """A basis column that ignores every entry write."""
+
+    def __setitem__(self, index, value):
+        pass
+
+
+def _negate_first_column(basis, pivots):
+    # an echelon step that leaves the first pivot negative
+    if basis[0][pivots[0]] > 0:
+        basis[0][:] = [-x for x in basis[0]]
+
+
+def _freeze_first_column(basis, pivots):
+    # an echelon step after which the reduction cannot change the first column
+    basis[0] = _LostWrites(basis[0])
+
+
+# Every answer of the lattice core comes through LatticeBasis's checks.  The
+# ring Z_4 x Z_4 with generators (1, 3), (0, 2), and the same two columns in
+# Z^2, leave the entry 3 left of the pivot 2 until the final reduction.
+GENERATORS = ((1, 3), (0, 2))
+LATTICE_CORE = [
+    ("general_is_ideal", lambda: general_is_ideal(FiniteSubgroup(ProductRing((4, 4)), GENERATORS)), False),
+    ("order", lambda: FiniteSubgroup(ProductRing((4, 4)), GENERATORS).order(), 8),
+    (
+        "canonical_basis",
+        lambda: canonical_basis(IntMatrix.from_columns(GENERATORS)).matrix,
+        IntMatrix(2, 2, (1, 0, 1, 2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("name, answer, unbroken", LATTICE_CORE, ids=[name for name, _, _ in LATTICE_CORE])
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_negate_first_column, "pivots must be positive"),
+        (_freeze_first_column, "entries left of a pivot must be reduced into [0, pivot)"),
+    ],
+    ids=["negative pivot", "unreduced entry"],
+)
+def test_a_broken_echelon_step_is_caught_by_the_basis_checks(name, answer, unbroken, spoil, message, monkeypatch):
+    assert answer() == unbroken
+    insert = lattice._insert_column
+
+    def broken_step(basis, pivots, vec, dim):
+        insert(basis, pivots, vec, dim)
+        spoil(basis, pivots)
+
+    monkeypatch.setattr(lattice, "_insert_column", broken_step)
+    _raises(message, answer)
 
 
 class _Reduced:
