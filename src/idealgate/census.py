@@ -35,15 +35,15 @@ from .finite import (
 
 # Max ring order for a brute-force census.  A census takes one closure per
 # subgroup but the trivial one, from its first-axis parent, found by scanning
-# the parent's cosets in a G[e] mask (one mask per e); a closure is a few
-# doubling steps, each a few shifts and masks of order-bit integers, so the
-# cost follows the subgroup count more than the order.  On a shared 2-core
-# x86-64 host: Z_96 x Z_96 (order 9216, 1062 subgroups) takes about
-# 0.02-0.03 s, Z_64 x Z_128 (494 subgroups) 0.01-0.02 s, Z_10000
-# 0.002-0.003 s, and Z_2^6 (order 64, 2825 subgroups) 0.02-0.03 s.  Census
-# and ideal tally leave the members as bitsets.  The census's one element
-# list (bit index -> element, for the scanned cosets) stays: it costs 0.07 of
-# 2.3 ms on Z_32 x Z_64 and 0.7 of 20 ms on Z_96 x Z_96 (min of 5), while
+# the parent's cosets in a G[e] mask (one mask per e); a closure starts from
+# the first doubling step, which the scan already holds, and takes a few more,
+# each a few shifts and masks of order-bit integers, so the cost follows the
+# subgroup count more than the order.  On a shared 2-core x86-64 host (min of
+# 5): Z_96 x Z_96 (order 9216, 1062 subgroups) takes 10.5 ms, Z_64 x Z_128
+# (494 subgroups) 4.8 ms, Z_10000 1.5 ms and Z_2^6 (order 64, 2825 subgroups)
+# 7.7 ms.  Census and ideal tally leave the members as bitsets.  The census's
+# one element list (bit index -> element, for the scanned cosets) stays: it
+# costs 0.03 of 1.3 ms on Z_32 x Z_64 and 0.4 of 10.5 ms on Z_96 x Z_96, while
 # decoding each index through the strides made the benchmark's 18 census
 # rings 10-30% slower.  Reading members decodes every member: 0.13 s more
 # for Z_96 x Z_96, 0.02-0.03 s for Z_2^6.
@@ -51,11 +51,11 @@ DEFAULT_CENSUS_CAP = 10_000
 
 # Max subgroup count of a census, fixed: its time and memory follow the
 # subgroup count (one extend and one bitset each), which the ring-order cap
-# does not bound.  On a shared 2-core x86-64 host, Z_2^8 (417,199 subgroups)
-# took 6.7 s and 150 MiB; Z_2^9 (8,283,458) went past 3 GiB.  Only
-# enumerate_subgroups_bruteforce checks it, after the ring-order cap: it
-# compares count_subgroups against it before a census starts, and stops once
-# its running count passes it.
+# does not bound.  On a shared 2-core x86-64 host, `prob --p 2 --dim 8
+# --verify` (Z_2^8, 417,199 subgroups) takes 2.3 s and 131 MiB per process;
+# Z_2^9 (8,283,458) went past 3 GiB.  Only enumerate_subgroups_bruteforce
+# checks it, after the ring-order cap: it compares count_subgroups against it
+# before a census starts, and stops once its running count passes it.
 CENSUS_SUBGROUP_BOUND = 500_000
 
 
@@ -160,9 +160,13 @@ def enumerate_subgroups_bruteforce(
     representative c' with no q-part.  t*c' in P then gives e*c' = 0 for e = t
     times the part of exp(P) at the primes of t, so the scan runs over the
     cosets of P in G[e] & G_{>j}, one translate and one bit test per coset.
+    The bit test is skipped when G_{>j} is cyclic: P is then G_{>j}[|P|], so
+    e | t*|P| and e*c = 0 give |P|*(t*c) = 0.  P + g is the scan's P + c
+    moved to axis-j coordinate d, so extend starts from S_2 = P | (P + g).
     The axes go from last to first, so the P for axis j are the subgroups
     found before it, and a subgroup's generators are its parent's, then g:
-    at most one per axis.  exp(<P, g>) is lcm(exp(P), |<g>|).
+    at most one per axis.  exp(<P, g>) is lcm(exp(P), |<g>|), computed only
+    for axes j >= 1: a subgroup found at the first axis is no parent.
 
     The result holds the bitsets, sorted by (order, bitset value), and
     decodes them into FiniteSubgroups only when members is read.
@@ -184,6 +188,7 @@ def enumerate_subgroups_bruteforce(
         divisors = [t for t in range(2, n + 1) if n % t == 0]
         tail = list(zip(moduli, strides))[j + 1 :]
         low = (1 << stride) - 1  # G_{>j}
+        cyclic = lcm(*moduli[j + 1 :]) == prod(moduli[j + 1 :])  # G_{>j}: no t*c test
         for parent, parent_gens in list(generators.items()):
             exp_parent = exponents[parent]
             for t in divisors:
@@ -198,18 +203,20 @@ def enumerate_subgroups_bruteforce(
                 while free:
                     c_index = (free & -free).bit_length() - 1
                     c = elements[c_index]
-                    free &= ~eng.translate(parent, c)
-                    tc_index = sum([t * x % n_i * s for x, (n_i, s) in zip(c[j + 1 :], tail)])
-                    if parent >> tc_index & 1:
-                        g = elements[d_index + c_index]
-                        k_bits = eng.extend(parent, g, t)
-                        generators[k_bits] = parent_gens + (g,)
-                        if len(generators) > bound:
-                            raise _over_bound(len(generators))
-                        exponents[k_bits] = lcm(
-                            exp_parent, *[n_i // gcd(x, n_i) for x, n_i in zip(g, moduli)]
-                        )
-    bitsets = tuple(sorted(generators, key=lambda bits: (bits.bit_count(), bits)))
+                    moved = eng.translate(parent, c)  # P + c, in G_{>j}
+                    free &= ~moved
+                    if not cyclic:
+                        tc_index = sum([t * x % n_i * s for x, (n_i, s) in zip(c[j + 1 :], tail)])
+                        if not parent >> tc_index & 1:
+                            continue
+                    g = elements[d_index + c_index]
+                    k_bits = eng.extend(parent | moved << d_index, g, t, 2)
+                    generators[k_bits] = parent_gens + (g,)
+                    if len(generators) > bound:
+                        raise _over_bound(len(generators))
+                    if j:
+                        exponents[k_bits] = lcm(exp_parent, *[n_i // gcd(x, n_i) for x, n_i in zip(g, moduli)])
+    bitsets = tuple(sorted(sorted(generators), key=int.bit_count))  # stable: by (order, value)
     return SubgroupSet(ring, bitsets, tuple(generators[bits] for bits in bitsets))
 
 
@@ -316,7 +323,11 @@ def is_ideal_bruteforce(subgroup: FiniteSubgroup) -> bool:
 def _is_ideal_bits(bits: int, generators: tuple[tuple[int, ...], ...], strides: list[int]) -> bool:
     """The predicate of is_ideal_bruteforce on the engine's bitset: the projection
     of a reduced generator g onto axis i is the element with index g_i * strides[i]."""
-    return all(bits >> (x * s) & 1 for g in generators for x, s in zip(g, strides))
+    for g in generators:
+        for x, s in zip(g, strides):
+            if not bits >> (x * s) & 1:
+                return False
+    return True
 
 
 def census_ideal_count(census: SubgroupSet) -> int:

@@ -143,7 +143,9 @@ def _lifted_basis(subgroup: FiniteSubgroup) -> LatticeBasis:
     """
     moduli = subgroup.ring.moduli
     k = len(moduli)
-    seed = [[n if i == j else 0 for i in range(k)] for j, n in enumerate(moduli)]
+    seed = [[0] * k for _ in moduli]
+    for i, n in enumerate(moduli):
+        seed[i][i] = n
     return _echelon_basis(seed, list(range(k)), subgroup.generators, k)
 
 
@@ -227,23 +229,25 @@ class _TranslationEngine:
                 bits &= ((1 << stride) - 1) * _repunit(period, full)
         return bits
 
-    def extend(self, h_bits: int, g: tuple[int, ...], quotient: int = 0) -> int:
+    def extend(self, h_bits: int, g: tuple[int, ...], quotient: int = 0, c: int = 1) -> int:
         """The subgroup <H, g>, closed by doubling.
 
-        S_1 = H and S_2c = S_c | (c*g + S_c), the union of the cosets j*g + H
-        for j < 2c.  While c < |<H, g>/H| the coset c*g + H is new, so S_2c
+        S_1 = H and S_2c = S_c | (c*g + S_c), the union of the cosets i*g + H
+        for i < 2c.  While c < |<H, g>/H| the coset c*g + H is new, so S_2c
         grows; once S_2c == S_c, S_c is all of <H, g>.  closure() extends {0}
-        by each generator.  The census knows the quotient order
-        q = |<H, g>/H| of every subgroup it closes and passes it, and the
+        by each generator.  Given S_c (c a power of two) as h_bits, with c, it
+        goes on from there; the census passes S_2, from its coset scan, and the
+        quotient order q = |<H, g>/H| of every subgroup it closes, and the
         doubling stops after the ceil(log2(q)) steps that reach it, without the
         step that only confirms it.  The translation by c*g is translate() inlined.
         """
+        # counts down to 0 when the quotient order is known, never reaches it otherwise
+        steps_left = (quotient - 1).bit_length() - c.bit_length() + 1 if quotient else -1
+        if not steps_left:
+            return h_bits
         tables = self._rotations
         axes = [(axis, x, n, tables[axis]) for axis, (x, n) in enumerate(zip(g, self.moduli)) if x]
         bits = h_bits
-        c = 1
-        # counts down to 0 when the quotient order is known, never reaches it otherwise
-        steps_left = (quotient - 1).bit_length() if quotient else -1
         while steps_left:
             moved = bits
             for axis, x, n, table in axes:

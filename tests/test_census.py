@@ -214,6 +214,9 @@ def test_translation_engine_extend_is_closure():
             # with the quotient order given, the doubling stops as soon as it is reached
             quotient = k_bits.bit_count() // h_bits.bit_count()
             assert eng.extend(h_bits, g, quotient) == k_bits
+            # from the first doubling step S_2 = H | (g + H), with or without the quotient order
+            doubled = h_bits | eng.translate(h_bits, g)
+            assert eng.extend(doubled, g, quotient, 2) == eng.extend(doubled, g, 0, 2) == k_bits
 
 
 def test_closure_and_materialize_match_tuple_closure():
@@ -287,16 +290,16 @@ def test_census_matches_naive_all_tuples_closure():
         assert element_sets(census) == naive
 
 
-def _count_extensions(monkeypatch):
-    """Record every _TranslationEngine.extend call in the returned list."""
+def _record_calls(monkeypatch, method="extend"):
+    """Record the arguments of every call of a _TranslationEngine method in the returned list."""
     calls = []
-    extend = _TranslationEngine.extend
+    original = getattr(_TranslationEngine, method)
 
-    def counted(self, *args):
+    def recorded(self, *args):
         calls.append(args)
-        return extend(self, *args)
+        return original(self, *args)
 
-    monkeypatch.setattr(_TranslationEngine, "extend", counted)
+    monkeypatch.setattr(_TranslationEngine, method, recorded)
     return calls
 
 
@@ -335,7 +338,7 @@ def _check_against_layered_closure(ring, calls):
 
 def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
     # every ring of order <= 64 and arity <= 3, factors in a seeded order
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     rng = random.Random(64)
     rings = _moduli_up_to(64, 3)
     assert len(rings) == 181
@@ -348,7 +351,7 @@ def test_census_matches_layered_closure_up_to_order_64(monkeypatch):
 def test_census_composite_quotient_orders(monkeypatch):
     # every axis has a 2-part and a 3-part: quotients of order 2, 3, 4, 6,
     # 9, 12, ... over first-axis parents whose exponents mix both primes
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     for moduli in ((12, 36), (6, 6, 6)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
@@ -356,7 +359,7 @@ def test_census_composite_quotient_orders(monkeypatch):
 def test_census_arity_4_layers(monkeypatch):
     # four axes, and parents whose exponent is below the ring's, so that the
     # scan mask G[t*exp(P)] is a proper subgroup
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     for moduli in ((2, 2, 2, 2), (2, 2, 2, 4), (4, 2, 4, 2), (2, 2, 4, 4), (3, 3, 3, 2)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
@@ -364,7 +367,7 @@ def test_census_arity_4_layers(monkeypatch):
 def test_census_multi_prime_rings(monkeypatch):
     # three and four primes in one loop over the axes; (6, 35) has no prime
     # common to two axes, (30, 6) and (10, 12) share primes across both axes
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     for moduli in ((6, 35), (30, 6), (10, 12), (2, 3, 5, 7)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
@@ -373,16 +376,70 @@ def test_census_first_axis_parents(monkeypatch):
     # up to five axes, with moduli rising and falling along them: a member's
     # first nonzero axis is then sometimes the ring's largest factor and
     # sometimes its smallest, and the parent lives in the tail after it
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     for moduli in ((2, 2, 2, 2, 2), (4, 4, 4), (2, 4, 8), (8, 4, 2), (3, 9, 27), (3, 9), (9, 3)):
         _check_against_layered_closure(ProductRing(moduli), calls)
 
 
 def test_census_axes_of_modulus_one(monkeypatch):
     # an axis of Z_1 carries no coordinate: it is never a first nonzero axis
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     for moduli in ((1, 4), (4, 1, 2), (1, 9, 1)):
         _check_against_layered_closure(ProductRing(moduli), calls)
+
+
+def test_census_rejects_scanned_cosets_only_on_a_noncyclic_tail(monkeypatch):
+    # the scan runs over G[e] & G_{>j}; t*c in P is tested only when G_{>j} is
+    # not cyclic, and these rings fail it on some scanned cosets: one translate
+    # each, and no extend
+    translates = _record_calls(monkeypatch, "translate")
+    extends = _record_calls(monkeypatch)
+
+    def run_census(moduli):
+        translates.clear()
+        extends.clear()
+        census = enumerate_subgroups_bruteforce(ProductRing(moduli))
+        assert len(census) == count_subgroups(moduli), moduli
+        return census
+
+    for moduli, rejected in (((2, 2, 4), 4), ((2, 4, 4), 24), ((2, 4, 2, 2), 32)):
+        census = run_census(moduli)
+        assert len(translates) - len(extends) == rejected > 0, moduli
+        assert element_sets(census) == layered_tuple_closures(census.ring), moduli
+    # on one or two axes every G_{>j} is cyclic: every scanned coset is closed
+    for moduli in _moduli_up_to(144, 2):
+        for ordered in {moduli, moduli[::-1]}:
+            run_census(ordered)
+            assert len(translates) == len(extends), ordered
+
+
+def test_census_extends_from_the_first_doubling_step(monkeypatch):
+    # for every (P, g, t) a census closes, it hands extend S_2 = P | (g + P),
+    # built from its scan's translate c + P; from there extend must reach what
+    # it reaches from P
+    extend = _TranslationEngine.extend
+    closed = []
+
+    def recorded(self, *args):
+        bits = extend(self, *args)
+        closed.append((args, bits))
+        return bits
+
+    monkeypatch.setattr(_TranslationEngine, "extend", recorded)
+    for moduli in ((6, 4), (2, 3, 2), (8, 8), (12,)):
+        ring = ProductRing(moduli)
+        closed.clear()
+        census = enumerate_subgroups_bruteforce(ring)
+        assert len(closed) == len(census) - 1, moduli
+        generators = dict(zip(census.bitsets, census.generators))
+        position = {e: i for i, e in enumerate(ring.elements())}
+        eng = _TranslationEngine(ring)
+        for args, k_bits in closed:
+            *parent_gens, g = generators[k_bits]
+            p_bits = sum(1 << position[e] for e in tuple_closure(ring, parent_gens))
+            t = k_bits.bit_count() // p_bits.bit_count()
+            assert args == (p_bits | eng.translate(p_bits, g), g, t, 2), (moduli, args)
+            assert extend(eng, *args) == extend(eng, p_bits, g, t) == k_bits, (moduli, args)
 
 
 def test_census_cyclic_rings_up_to_720():
@@ -433,7 +490,7 @@ def test_census_checks_the_predicted_count_first(monkeypatch):
     # anything; the extend count is checked after each ring, so a census that
     # starts fails the test before Z_2^13, whose running count would hold
     # 500,001 bitsets of 8192 bits before it stopped
-    calls = _count_extensions(monkeypatch)
+    calls = _record_calls(monkeypatch)
     for moduli, count in (((6,) * 5, 996_336), ((2,) * 9, 8_283_458), ((2,) * 13, 37_558_989_808_526)):
         with pytest.raises(EnumerationCapExceeded, match=f"at least {count} subgroups"):
             enumerate_subgroups_bruteforce(ProductRing(moduli))
