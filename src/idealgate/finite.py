@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, product as iter_product
 from math import gcd, lcm, prod
+from operator import mod
 from typing import Iterable, Iterator, Sequence
 
 from .exactarith import InvariantError, Record, additive_order, xgcd
@@ -42,13 +43,25 @@ class EnumerationCapExceeded(RuntimeError):
     """A computation would materialize more ring elements than the configured cap."""
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    # integral values (4.0, True) become ints; anything else is refused
+    given = tuple(values)
+    try:
+        ints = tuple(map(int, given))
+    except (OverflowError, ValueError):  # inf, nan, "4.5"
+        ints = None
+    if ints != given:
+        raise ValueError(f"{what} must be integers, got {given}")
+    return ints
+
+
 class ProductRing(Record):
     """The ring Z_{n1} x ... x Z_{nk} with componentwise operations."""
 
     __slots__ = ("moduli",)
 
     def __init__(self, moduli: Sequence[int]) -> None:
-        moduli = tuple(int(n) for n in moduli)
+        moduli = _integers(moduli, "moduli")
         if not moduli:
             raise ValueError("a product ring needs at least one factor")
         if any(n < 1 for n in moduli):
@@ -71,7 +84,7 @@ class ProductRing(Record):
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.arity:
             raise ValueError(f"element length {len(vec)} != arity {self.arity}")
-        return tuple(x % n for x, n in zip(vec, self.moduli))
+        return tuple(map(mod, _integers(vec, "element entries"), self.moduli))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.moduli))

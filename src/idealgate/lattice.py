@@ -56,7 +56,7 @@ class IntMatrix(Record):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
@@ -93,7 +93,8 @@ class IntMatrix(Record):
 
 
 # determinant, adjugate and fullrank_is_ideal are is_ideal_zd's full-rank test,
-# until a diagonal check of the canonical basis replaces it.
+# until a diagonal check of the canonical basis replaces it; that check waits
+# for ROADMAP item 1, a benchmark whose peak RSS does not grow with its passes.
 def determinant(a: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
@@ -152,16 +153,24 @@ class LatticeBasis(Record):
             raise ValueError("basis row count must equal the ambient dimension")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "matrix", matrix)
-        entries, cols = matrix.entries, matrix.cols
-        last = -1
+        self.pivot_rows()
+
+    @property
+    def rank(self) -> int:
+        return self.matrix.cols
+
+    def pivot_rows(self) -> tuple[int, ...]:
+        """Each column's pivot row; the first column not in canonical form names the error."""
+        entries, cols = self.matrix.entries, self.matrix.cols
+        rows = []
         for j in range(cols):
             # the first nonzero entry of column j is its pivot
             p = next(compress(count(), entries[j::cols]), None)
             if p is None:
                 raise ValueError("zero column in a basis")
-            if p <= last:
+            if rows and p <= rows[-1]:
                 raise ValueError("pivot rows must strictly increase")
-            last = p
+            rows.append(p)
             start = p * cols
             pivot = entries[start + j]
             if pivot <= 0:
@@ -169,27 +178,20 @@ class LatticeBasis(Record):
             left = entries[start : start + j]
             if left and (min(left) < 0 or max(left) >= pivot):
                 raise ValueError("entries left of a pivot must be reduced into [0, pivot)")
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.cols
-
-    def pivot_rows(self) -> tuple[int, ...]:
-        out = []
-        for j in range(self.matrix.cols):
-            # the index of the first nonzero entry of column j
-            p = next(compress(count(), self.matrix.column(j)), None)
-            if p is None:
-                raise ValueError("zero column in a basis")
-            out.append(p)
-        return tuple(out)
+        return tuple(rows)
 
     def support(self) -> tuple[int, ...]:
         """Coordinates where the subgroup is not identically zero."""
-        return tuple(
-            i for i in range(self.ambient_dim)
-            if any(self.matrix.at(i, j) for j in range(self.matrix.cols))
-        )
+        return tuple(i for i in range(self.ambient_dim) if any(self.matrix.row(i)))
+
+
+def _size_reduce(col: list[int], by: Sequence[int], p: int, dim: int) -> None:
+    # Subtract the multiple of by that takes col[p] into [0, by[p]); by is
+    # zero above its pivot row p, so only rows p.. change.
+    q = col[p] // by[p]
+    if q:
+        for i in range(p, dim):
+            col[i] -= q * by[i]
 
 
 def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], dim: int) -> None:
@@ -218,9 +220,7 @@ def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], di
         col = basis[k]
         a, c = col[lead], vec[lead]
         if c % a == 0:
-            q = c // a
-            for i in range(lead, dim):
-                vec[i] -= q * col[i]
+            _size_reduce(vec, col, lead, dim)
         else:
             g, x, y = xgcd(a, c)
             au, cu = a // g, c // g
@@ -229,11 +229,7 @@ def _insert_column(basis: list[list[int]], pivots: list[int], vec: list[int], di
                 col[i] = x * ai + y * ci
                 vec[i] = au * ci - cu * ai
             for j in range(k + 1, rank):
-                later, p = basis[j], pivots[j]
-                q = col[p] // later[p]
-                if q:
-                    for i in range(p, dim):
-                        col[i] -= q * later[i]
+                _size_reduce(col, basis[j], pivots[j], dim)
 
 
 def _echelon_basis(
@@ -248,14 +244,9 @@ def _echelon_basis(
     """
     for vec in columns:
         _insert_column(basis, pivots, list(vec), dim)
-    for j in range(len(basis)):
-        p = pivots[j]
-        pivot = basis[j][p]
+    for j, p in enumerate(pivots):
         for j2 in range(j):
-            q = basis[j2][p] // pivot
-            if q:
-                for i in range(p, dim):
-                    basis[j2][i] -= q * basis[j][i]
+            _size_reduce(basis[j2], basis[j], p, dim)
     return LatticeBasis(dim, IntMatrix.from_columns(basis, rows=dim))
 
 
@@ -274,14 +265,10 @@ def member(v: Sequence[int], basis: LatticeBasis) -> bool:
         raise ValueError(f"vector length {len(v)} != ambient dimension {basis.ambient_dim}")
     residual = list(v)
     dim = basis.ambient_dim
-    for j, p in enumerate(basis.pivot_rows()):
-        col = basis.matrix.column(j)
-        q, rem = divmod(residual[p], col[p])
-        if rem:
+    for p, col in zip(basis.pivot_rows(), basis.matrix.columns()):
+        _size_reduce(residual, col, p, dim)
+        if residual[p]:
             return False
-        if q:
-            for i in range(p, dim):
-                residual[i] -= q * col[i]
     return not any(residual)
 
 
@@ -369,9 +356,7 @@ def is_ideal_zd(generators: IntMatrix) -> ZdDecision:
     support = basis.support()
     if len(support) > k:
         return ZdDecision(False, None, "support_exceeds_rank")
-    restricted = IntMatrix.from_rows([
-        [basis.matrix.at(i, j) for j in range(k)] for i in support
-    ])
+    restricted = IntMatrix.from_rows([basis.matrix.row(i) for i in support])
     witness = fullrank_is_ideal(restricted)
     if witness is None:
         return ZdDecision(False, None, "determinant_exceeds_projection_gcds")

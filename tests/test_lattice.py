@@ -435,6 +435,15 @@ def test_is_ideal_zd_examples():
     assert decision.ideal
     assert decision.witness.support == (1,)
     assert decision.witness.diagonal == (7,)
+    # the restriction to the support takes rows: [[1, 0], [1, 2]] is not an
+    # ideal ((1, 0, 0) is not in the span), though its transpose passes
+    gens = cols((1, 0, 1), (0, 0, 2))
+    basis = canonical_basis(gens)
+    assert basis.support() == basis.pivot_rows() == (0, 2)
+    decision = is_ideal_zd(gens)
+    assert not decision.ideal and decision.reason == "determinant_exceeds_projection_gcds"
+    assert not member((1, 0, 0), basis)
+    assert fullrank_is_ideal(IntMatrix.from_rows([[1, 1], [0, 2]])) is not None
 
 
 def test_is_ideal_zd_zero_subgroup():

@@ -168,6 +168,10 @@ CHECKS = [
     ("witness matrix is not unimodular", lambda: IdealWitness((1, 1), IntMatrix(2, 2, (2, 0, 0, 1)), (0, 1))),
     ("a product ring needs at least one factor", lambda: ProductRing(())),
     ("moduli must be >= 1, got (0, 2)", lambda: ProductRing((0, 2))),
+    ("moduli must be integers, got (4.5, 2)", lambda: ProductRing((4.5, 2))),
+    ("moduli must be integers, got ('4', 2)", lambda: ProductRing(("4", 2))),
+    ("moduli must be integers, got (inf, 2)", lambda: ProductRing((float("inf"), 2))),
+    ("element entries must be integers, got (1.5, 0)", lambda: FiniteSubgroup(RING, ((1.5, 0),))),
     ("element length 1 != arity 2", lambda: FiniteSubgroup(RING, ((1,),))),
     ("materialized subgroup must contain zero", lambda: FiniteSubgroup(RING, ((2, 1),), frozenset({(2, 1)}))),
     (
@@ -194,7 +198,20 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("message, make", CHECKS, ids=[m for m, _ in CHECKS])
+# bases with two defects: the first column that fails names the error
+FIRST_FAILING_COLUMN = [
+    # column 0's pivot is negative, column 1 is zero
+    ("pivots must be positive", lambda: LatticeBasis(2, IntMatrix(2, 2, (-1, 0, 0, 0)))),
+    # column 1's pivot 2 has 5 to its left, column 2 is zero
+    (
+        "entries left of a pivot must be reduced into [0, pivot)",
+        lambda: LatticeBasis(2, IntMatrix(2, 3, (1, 0, 0, 5, 2, 0))),
+    ),
+]
+CHECK_IDS = [m for m, _ in CHECKS] + [f"{m}, before a zero column" for m, _ in FIRST_FAILING_COLUMN]
+
+
+@pytest.mark.parametrize("message, make", CHECKS + FIRST_FAILING_COLUMN, ids=CHECK_IDS)
 def test_constructor_checks_keep_their_messages(message, make):
     _raises(message, make)
 
